@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
+.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check bench-serve servebench-test experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
 
 all: build vet test
 
@@ -75,6 +75,17 @@ bench:
 # worker counts (see also `-exp E24` of cmd/topk-bench).
 bench-parallel:
 	$(GO) test -bench 'BenchmarkParallel' -benchtime 20x .
+
+# The served-path benchmark of BENCHMARK.json (servebench/, its own Go
+# module): builds topk-serve from this checkout and runs the three
+# workloads untraced, 20 s each, printing the end-to-end metrics.
+bench-serve:
+	bash servebench/run.sh --workload all --seed 1 --seconds 20 --trace 0
+
+# The benchmark module's own tests (offline, ~25 s); the root `go test
+# ./...` does not reach them.
+servebench-test:
+	cd servebench && $(GO) test ./...
 
 # Regenerate the EXPERIMENTS.md tables (E1-E30, E32).
 experiments:
@@ -386,4 +397,4 @@ clean:
 # What CI runs (.github/workflows/ci.yml), runnable locally. CI
 # additionally runs staticcheck and govulncheck, which are not vendored
 # here.
-ci: build vet fmt-check test race cover fuzz-smoke serve-smoke snap-smoke disk-smoke load-smoke ingest-smoke cluster-smoke bench-check
+ci: build vet fmt-check test servebench-test race cover fuzz-smoke serve-smoke snap-smoke disk-smoke load-smoke ingest-smoke cluster-smoke bench-check

@@ -560,3 +560,30 @@ func BenchmarkE25_OverlayInsert(b *testing.B) {
 	}
 	reportIOs(b, ix.Stats())
 }
+
+// BenchmarkBuild measures constructing an index from 2^15 items under
+// the default reduction: the black-box bulk builds on the full set and
+// on Theorem 2's samples, plus the reduction's own setup. Report-only;
+// no BENCH_*.json row tracks it.
+func BenchmarkBuild(b *testing.B) {
+	const n = 1 << 15
+	intervals := genFacadeIntervals(n)
+	points := genPointsN(n, 2, benchSeed)
+	for _, bc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"interval", func() error { _, err := NewIntervalIndex(intervals, WithSeed(benchSeed)); return err }},
+		{"circular", func() error { _, err := NewCircularIndex(points, 2, WithSeed(benchSeed)); return err }},
+		{"ortho", func() error { _, err := NewOrthoIndex(points, 2, WithSeed(benchSeed)); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := bc.build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -37,6 +37,7 @@
 //	GET  /metrics      Prometheus text exposition
 //	GET  /problems     registered problems, query/item shapes, update support
 //	POST /query        {"queries":[...], "k":10} -> per-query answers + I/O stats
+//	                   (a body over 1 MiB is refused with 413)
 //	POST /ingest       NDJSON bulk update: one item (or {"delete": w}) per line
 //	POST /snapshot     checkpoint the index into -snapshot-dir now
 //	GET  /debug/slow   recent slow-query traces (plain text)
@@ -564,13 +565,21 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxQueryBody caps a /query body; a larger one is refused with 413.
+const maxQueryBody = 1 << 20
+
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
 	var req queryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

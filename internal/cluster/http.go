@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -71,6 +72,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// maxQueryBody caps a /query body, as topk-serve does; a larger one is
+// refused with 413.
+const maxQueryBody = 1 << 20
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -84,7 +89,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		DeadlineMS  int64             `json:"deadline_ms,omitempty"`
 		Degrade     *bool             `json:"degrade,omitempty"`
 	}
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -276,3 +276,26 @@ func TestFetchConfigErrors(t *testing.T) {
 		t.Fatal("no error for an unreachable coordinator")
 	}
 }
+
+// TestQueryBodyLimit: the coordinator's /query answers a body at the
+// 1 MiB limit and refuses one byte more with 413, like topk-serve.
+func TestQueryBodyLimit(t *testing.T) {
+	spec, _ := topk.ProblemByName("interval")
+	dir, _ := buildSnapshot(t, spec)
+	co := newCoordinator(t, spec, buildReplicas(t, spec, dir, 2), nil)
+	h := cluster.NewServer(co, "", nil).Handler()
+	q, _ := json.Marshal(spec.WireQueries(2, testSeed))
+	head, tail := `{"queries":`+string(q)+`,`, `"k":5}`
+	const limit = 1 << 20
+	for _, tc := range []struct{ size, want int }{
+		{limit, http.StatusOK},
+		{limit + 1, http.StatusRequestEntityTooLarge},
+	} {
+		body := head + strings.Repeat(" ", tc.size-len(head)-len(tail)) + tail
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body)))
+		if rec.Code != tc.want {
+			t.Errorf("%d-byte body: status %d (%s), want %d", tc.size, rec.Code, strings.TrimSpace(rec.Body.String()), tc.want)
+		}
+	}
+}

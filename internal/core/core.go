@@ -27,9 +27,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"topk/internal/xsort"
 )
@@ -47,7 +48,7 @@ func LessItems[V any](a, b Item[V]) bool { return a.Weight > b.Weight }
 
 // SortByWeightDesc sorts items heaviest-first in place.
 func SortByWeightDesc[V any](items []Item[V]) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Weight > items[j].Weight })
+	slices.SortFunc(items, func(a, b Item[V]) int { return cmp.Compare(b.Weight, a.Weight) })
 }
 
 // Prioritized is a structure answering prioritized-reporting queries.

@@ -22,6 +22,8 @@
 package dominance
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"topk/internal/core"
@@ -62,7 +64,7 @@ type MinZ struct {
 func NewMinZ(items []core.Item[Pt3], tracker *em.Tracker) *MinZ {
 	pts := make([]core.Item[Pt3], len(items))
 	copy(pts, items)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Value.X < pts[j].Value.X })
+	slices.SortFunc(pts, func(a, b core.Item[Pt3]) int { return cmp.Compare(a.Value.X, b.Value.X) })
 
 	m := &MinZ{
 		xs:       make([]float64, len(pts)),

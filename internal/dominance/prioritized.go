@@ -1,6 +1,8 @@
 package dominance
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"topk/internal/core"
@@ -93,7 +95,7 @@ func (p *Prioritized) buildW(items []core.Item[Pt3]) *wnode {
 func newRep3(items []core.Item[Pt3]) *rep3 {
 	byX := make([]core.Item[Pt3], len(items))
 	copy(byX, items)
-	sort.Slice(byX, func(i, j int) bool { return byX[i].Value.X < byX[j].Value.X })
+	slices.SortFunc(byX, func(a, b core.Item[Pt3]) int { return cmp.Compare(a.Value.X, b.Value.X) })
 	r := &rep3{byX: byX}
 	r.root = buildX(byX)
 	return r
@@ -117,7 +119,7 @@ func buildX(items []core.Item[Pt3]) *xnode {
 func newYZIndex(items []core.Item[Pt3]) *yzIndex {
 	byY := make([]core.Item[Pt3], len(items))
 	copy(byY, items)
-	sort.Slice(byY, func(i, j int) bool { return byY[i].Value.Y < byY[j].Value.Y })
+	slices.SortFunc(byY, func(a, b core.Item[Pt3]) int { return cmp.Compare(a.Value.Y, b.Value.Y) })
 	idx := &yzIndex{
 		ys:    make([]float64, len(byY)),
 		zs:    make([]float64, len(byY)),

@@ -18,8 +18,9 @@
 package halfspace
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Pt2 is a point in ℝ².
@@ -67,11 +68,8 @@ func BuildHull(pts []Pt2) Hull {
 	}
 	s := make([]Pt2, len(pts))
 	copy(s, pts)
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].X != s[j].X {
-			return s[i].X < s[j].X
-		}
-		return s[i].Y < s[j].Y
+	slices.SortFunc(s, func(a, b Pt2) int {
+		return cmp.Or(cmp.Compare(a.X, b.X), cmp.Compare(a.Y, b.Y))
 	})
 	// Deduplicate identical points.
 	uniq := s[:0]

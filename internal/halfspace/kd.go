@@ -3,7 +3,7 @@ package halfspace
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"topk/internal/core"
 	"topk/internal/em"
@@ -87,11 +87,15 @@ type KDTree struct {
 
 type kdnode struct {
 	item        core.Item[PtN]
-	dim         int
-	lo, hi      []float64 // subtree bounding box
-	maxW        float64
-	size        int
+	box         []float64 // subtree bounding box, lo corner then hi corner
+	maxW        float64   // subtree max weight
 	left, right *kdnode
+}
+
+// bounds returns the lo and hi corners of the node's box.
+func (nd *kdnode) bounds() (lo, hi []float64) {
+	d := len(nd.box) / 2
+	return nd.box[:d:d], nd.box[d:]
 }
 
 // NewKDTree builds a kd-tree over items in dimension d. tracker may be
@@ -109,9 +113,12 @@ func NewKDTree(items []core.Item[PtN], d int, tracker *em.Tracker) (*KDTree, err
 		}
 	}
 	t := &KDTree{d: d, n: len(items), tracker: tracker}
-	buf := make([]core.Item[PtN], len(items))
-	copy(buf, items)
-	t.root = t.build(buf, 0)
+	bld := kdBuilder{
+		d:     d,
+		nodes: make([]kdnode, len(items)),
+		boxes: make([]float64, 2*d*len(items)),
+	}
+	t.root = bld.build(slices.Clone(items), 0)
 	if tracker != nil && len(items) > 0 {
 		// One node per point: coordinates, weight, and a 2d-word box.
 		tracker.AllocRun(int(em.BlocksFor(len(items), 3*d+4, tracker.B())))
@@ -119,42 +126,131 @@ func NewKDTree(items []core.Item[PtN], d int, tracker *em.Tracker) (*KDTree, err
 	return t, nil
 }
 
-func (t *KDTree) build(items []core.Item[PtN], depth int) *kdnode {
+// kdBuilder hands out a tree's nodes and their lo/hi boxes from one slab
+// each.
+type kdBuilder struct {
+	d     int
+	nodes []kdnode
+	boxes []float64 // 2d words per node
+}
+
+// build makes the subtree over items (which it reorders) at depth: the
+// median of items under (C[dim], W) becomes the node, the lesser half its
+// left subtree and the greater half its right. Selection is expected
+// O(len(items)) per level, so the whole build is O(n log n); the box and
+// max weight are joined bottom-up from the children in O(d) per node.
+func (b *kdBuilder) build(items []core.Item[PtN], depth int) *kdnode {
 	if len(items) == 0 {
 		return nil
 	}
-	dim := depth % t.d
+	dim := depth % b.d
 	mid := len(items) / 2
-	// Median split along dim (nth-element style partial sort).
-	sort.Slice(items, func(i, j int) bool { return items[i].Value.C[dim] < items[j].Value.C[dim] })
-	nd := &kdnode{
-		item: items[mid],
-		dim:  dim,
-		lo:   make([]float64, t.d),
-		hi:   make([]float64, t.d),
-		size: len(items),
-		maxW: math.Inf(-1),
+	selectKth(items, mid, dim)
+	nd := &b.nodes[0]
+	b.nodes = b.nodes[1:]
+	*nd = kdnode{item: items[mid], box: b.boxes[: 2*b.d : 2*b.d], maxW: items[mid].Weight}
+	b.boxes = b.boxes[2*b.d:]
+	nd.left = b.build(items[:mid], depth+1)
+	nd.right = b.build(items[mid+1:], depth+1)
+
+	lo, hi := nd.bounds()
+	for i := range lo {
+		lo[i] = math.Inf(1)
+		hi[i] = math.Inf(-1)
 	}
-	for i := range nd.lo {
-		nd.lo[i] = math.Inf(1)
-		nd.hi[i] = math.Inf(-1)
-	}
-	for _, it := range items {
-		if it.Weight > nd.maxW {
-			nd.maxW = it.Weight
-		}
-		for i, c := range it.Value.C {
-			if c < nd.lo[i] {
-				nd.lo[i] = c
-			}
-			if c > nd.hi[i] {
-				nd.hi[i] = c
+	growBox(lo, hi, nd.item.Value.C, nd.item.Value.C)
+	for _, c := range [2]*kdnode{nd.left, nd.right} {
+		if c != nil {
+			clo, chi := c.bounds()
+			growBox(lo, hi, clo, chi)
+			if c.maxW > nd.maxW {
+				nd.maxW = c.maxW
 			}
 		}
 	}
-	nd.left = t.build(items[:mid], depth+1)
-	nd.right = t.build(items[mid+1:], depth+1)
 	return nd
+}
+
+// growBox widens the box [lo, hi] to cover the box [clo, chi].
+func growBox(lo, hi, clo, chi []float64) {
+	for i := range lo {
+		if clo[i] < lo[i] {
+			lo[i] = clo[i]
+		}
+		if chi[i] > hi[i] {
+			hi[i] = chi[i]
+		}
+	}
+}
+
+// kdCompare is the total order a kd split uses along dim: the coordinate,
+// then the (distinct) weight.
+func kdCompare(a, b *core.Item[PtN], dim int) int {
+	ca, cb := a.Value.C[dim], b.Value.C[dim]
+	switch {
+	case ca < cb:
+		return -1
+	case ca > cb:
+		return 1
+	case a.Weight < b.Weight:
+		return -1
+	case a.Weight > b.Weight:
+		return 1
+	}
+	return 0
+}
+
+// selectKth reorders items so items[k] has rank k under kdCompare, with
+// every lesser item before it and every greater one after: quickselect
+// with a median-of-three pivot. Once the partitions have scanned 6n items
+// (expected total is under 3n) it sorts what remains instead, so a run of
+// bad pivots costs O(n log n) at worst.
+func selectKth(items []core.Item[PtN], k, dim int) {
+	less := func(i, j int) bool { return kdCompare(&items[i], &items[j], dim) < 0 }
+	swap := func(i, j int) { items[i], items[j] = items[j], items[i] }
+	lo, hi := 0, len(items)-1
+	for work := 0; hi > lo; {
+		if work += hi - lo + 1; work > 6*len(items) {
+			slices.SortFunc(items[lo:hi+1], func(a, b core.Item[PtN]) int { return kdCompare(&a, &b, dim) })
+			return
+		}
+		// Order lo ≤ m ≤ hi; they then bound both scans below.
+		m := lo + (hi-lo)/2
+		if less(m, lo) {
+			swap(m, lo)
+		}
+		if less(hi, lo) {
+			swap(hi, lo)
+		}
+		if less(hi, m) {
+			swap(hi, m)
+		}
+		if hi-lo < 3 {
+			return
+		}
+		p := hi - 1
+		swap(m, p)
+		i, j := lo, p
+		for {
+			for i++; less(i, p); i++ {
+			}
+			for j--; less(p, j); j-- {
+			}
+			if i >= j {
+				break
+			}
+			swap(i, j)
+		}
+		swap(i, p)
+		switch {
+		case k < i:
+			hi = i - 1
+		case k > i:
+			lo = i + 1
+		default:
+			return
+		}
+	}
 }
 
 // N returns the number of indexed points.
@@ -196,7 +292,7 @@ func (t *KDTree) report(nd *kdnode, q BoxQuery, tau float64, emit func(core.Item
 		return true
 	}
 	*visited++
-	inside, outside := q.ClassifyBox(nd.lo, nd.hi)
+	inside, outside := q.ClassifyBox(nd.bounds())
 	if outside {
 		return true // box entirely outside
 	}
@@ -254,7 +350,7 @@ func (t *KDTree) maxSearch(nd *kdnode, q BoxQuery, best *core.Item[PtN], found *
 		return
 	}
 	*visited++
-	inside, outside := q.ClassifyBox(nd.lo, nd.hi)
+	inside, outside := q.ClassifyBox(nd.bounds())
 	if outside {
 		return
 	}

@@ -78,5 +78,8 @@ func FuzzTreeOps(f *testing.F) {
 		if tree.Len() != len(live) {
 			t.Fatalf("Len=%d, live=%d", tree.Len(), len(live))
 		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

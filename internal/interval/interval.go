@@ -27,7 +27,7 @@ package interval
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"topk/internal/core"
 	"topk/internal/em"
@@ -122,20 +122,95 @@ func (t *Tree[V]) build(items []core.Item[V]) {
 			t.run = t.tracker.AllocRun(int(t.blocks))
 		}
 	}
+	spans := make([]Interval, len(items))
 	coords := make([]float64, 0, 2*len(items))
-	for _, it := range items {
+	for i, it := range items {
 		sp := it.Value.Span()
+		spans[i] = sp
 		coords = append(coords, sp.Lo, sp.Hi)
 	}
-	sort.Float64s(coords)
+	slices.Sort(coords)
 	coords = dedupSorted(coords)
 
-	t.root = buildSkeleton[V](coords, 0, len(coords))
+	// Skeleton node j (one slab) has center coords[j].
+	nodes := make([]tnode[V], len(coords))
+	t.root = buildSkeleton(nodes, coords, 0, len(coords))
 	t.loc = make(map[float64]locRef[V], len(items))
 	t.n0 = len(items)
 	t.churn = 0
-	for _, it := range items {
-		t.place(it)
+
+	// Route every item to its node, as place would: the walk follows the
+	// search path of Lo, so it stops at a node whose center the interval
+	// contains before running off the skeleton. Then counting-sort the
+	// items by node into order: node j's group ends up in
+	// order[end[j-1]:end[j]].
+	end := make([]int32, len(coords)+1)
+	dest := make([]int32, len(items))
+	for i, sp := range spans {
+		a, b := 0, len(coords)
+		for {
+			mid := a + (b-a)/2
+			c := coords[mid]
+			if sp.Contains(c) {
+				dest[i] = int32(mid)
+				break
+			}
+			if sp.Hi < c {
+				b = mid
+			} else {
+				a = mid + 1
+			}
+		}
+		end[dest[i]+1]++
+	}
+	for j := 1; j < len(end); j++ {
+		end[j] += end[j-1] // end[j] is now where node j's group starts
+	}
+	order := make([]int32, len(items))
+	for i, j := range dest {
+		order[end[j]] = int32(i)
+		end[j]++
+	}
+
+	// Bulk-build each node's byLo and byHi treaps from its group sorted by
+	// (Lo, W) and by (Hi, W).
+	type keyed struct {
+		k treap.Key
+		i int32
+	}
+	var es []keyed
+	var keys []treap.Key
+	var vals []V
+	bulk := func(group []int32, hi bool) treap.Tree[V] {
+		es = es[:0]
+		for _, i := range group {
+			k := treap.Key{K: spans[i].Lo, W: items[i].Weight}
+			if hi {
+				k.K = spans[i].Hi
+			}
+			es = append(es, keyed{k, i})
+		}
+		slices.SortFunc(es, func(a, b keyed) int { return a.k.Compare(b.k) })
+		keys, vals = keys[:0], vals[:0]
+		for _, e := range es {
+			keys = append(keys, e.k)
+			vals = append(vals, items[e.i].Value)
+		}
+		return treap.Build(keys, vals)
+	}
+	from := int32(0)
+	for j := range nodes {
+		group := order[from:end[j]]
+		from = end[j]
+		if len(group) == 0 {
+			continue
+		}
+		nd := &nodes[j]
+		for _, i := range group {
+			t.loc[items[i].Weight] = locRef[V]{nd: nd, span: spans[i]}
+		}
+		nd.byLo = bulk(group, false)
+		nd.byHi = bulk(group, true)
 	}
 }
 
@@ -149,14 +224,15 @@ func dedupSorted(xs []float64) []float64 {
 	return out
 }
 
-func buildSkeleton[V Spanned](coords []float64, a, b int) *tnode[V] {
+func buildSkeleton[V Spanned](nodes []tnode[V], coords []float64, a, b int) *tnode[V] {
 	if a >= b {
 		return nil
 	}
 	mid := a + (b-a)/2
-	nd := &tnode[V]{center: coords[mid]}
-	nd.left = buildSkeleton[V](coords, a, mid)
-	nd.right = buildSkeleton[V](coords, mid+1, b)
+	nd := &nodes[mid]
+	nd.center = coords[mid]
+	nd.left = buildSkeleton(nodes, coords, a, mid)
+	nd.right = buildSkeleton(nodes, coords, mid+1, b)
 	return nd
 }
 

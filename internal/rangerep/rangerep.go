@@ -18,6 +18,7 @@ package rangerep
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"topk/internal/core"
 	"topk/internal/em"
@@ -63,13 +64,16 @@ func NewPoints(items []core.Item[float64], tracker *em.Tracker) (*Points, error)
 		return nil, err
 	}
 	p := &Points{pos: make(map[float64]float64, len(items)), tracker: tracker}
-	for _, it := range items {
+	keys := make([]treap.Key, len(items))
+	for i, it := range items {
 		if math.IsNaN(it.Value) {
 			return nil, fmt.Errorf("rangerep: NaN position")
 		}
-		p.tr.Insert(treap.Key{K: it.Value, W: it.Weight}, struct{}{})
+		keys[i] = treap.Key{K: it.Value, W: it.Weight}
 		p.pos[it.Weight] = it.Value
 	}
+	slices.SortFunc(keys, treap.Key.Compare)
+	p.tr = treap.Build(keys, make([]struct{}, len(keys)))
 	if tracker != nil && len(items) > 0 {
 		p.blocks = em.BlocksFor(len(items), 2, tracker.B())
 		p.run = tracker.AllocRun(int(p.blocks))

@@ -35,6 +35,18 @@ func (a Key) Less(b Key) bool {
 	return a.W < b.W
 }
 
+// Compare is the three-way form of Less, for slices.SortFunc: it sorts
+// keys into the order Build expects.
+func (a Key) Compare(b Key) int {
+	switch {
+	case a.Less(b):
+		return -1
+	case b.Less(a):
+		return 1
+	}
+	return 0
+}
+
 type node[V any] struct {
 	key         Key
 	val         V
@@ -147,6 +159,50 @@ func (t *Tree[V]) MaxWeight() (float64, bool) {
 		return 0, false
 	}
 	return t.root.maxW, true
+}
+
+// Build returns the tree holding keys[i] → vals[i], in O(n) time. keys
+// must be strictly increasing under Key.Less (it panics otherwise) and
+// vals as long as keys; neither slice is retained.
+//
+// Priorities are the same hashPrio(key) Insert assigns, and a treap is the
+// unique Cartesian tree of its keys under (priority desc, key asc), so the
+// result equals n Inserts node for node. It is built left to right with
+// the rightmost path on a stack: each new key pops the lower-priority
+// path nodes, which become its left subtree and are final once popped.
+// The nodes come from one slab allocation.
+func Build[V any](keys []Key, vals []V) Tree[V] {
+	if len(keys) != len(vals) {
+		panic("treap: Build with mismatched keys and values")
+	}
+	var t Tree[V]
+	nodes := make([]node[V], len(keys))
+	var stack []*node[V]
+	for i, k := range keys {
+		if i > 0 && !keys[i-1].Less(k) {
+			panic("treap: Build keys not strictly increasing")
+		}
+		n := &nodes[i]
+		n.key, n.val, n.prio = k, vals[i], hashPrio(k)
+		var last *node[V]
+		for len(stack) > 0 && stack[len(stack)-1].prio < n.prio {
+			last = stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			t.pull(last)
+		}
+		n.left = last
+		if len(stack) > 0 {
+			stack[len(stack)-1].right = n
+		}
+		stack = append(stack, n)
+	}
+	for i := len(stack) - 1; i >= 0; i-- {
+		t.pull(stack[i])
+	}
+	if len(stack) > 0 {
+		t.root = stack[0]
+	}
+	return t
 }
 
 // Insert adds an entry. Inserting an existing key replaces its value.
