@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-json bench-check bench-serve servebench-test experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
+.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-smoke bench-json bench-check bench-serve servebench-test experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
 
 all: build vet test
 
@@ -75,6 +75,12 @@ bench:
 # worker counts (see also `-exp E24` of cmd/topk-bench).
 bench-parallel:
 	$(GO) test -bench 'BenchmarkParallel' -benchtime 20x .
+
+# One iteration of every parallel and trace-overhead benchmark (~2 s):
+# runs their built-in checks, such as the per-query I/O invariance
+# across worker counts, without timing anything.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'BenchmarkParallel|BenchmarkTraceOverhead' -benchtime 1x .
 
 # The served-path benchmark of BENCHMARK.json (servebench/, its own Go
 # module): builds topk-serve from this checkout and runs the three
@@ -397,4 +403,4 @@ clean:
 # What CI runs (.github/workflows/ci.yml), runnable locally. CI
 # additionally runs staticcheck and govulncheck, which are not vendored
 # here.
-ci: build vet fmt-check test servebench-test race cover fuzz-smoke serve-smoke snap-smoke disk-smoke load-smoke ingest-smoke cluster-smoke bench-check
+ci: build vet fmt-check test servebench-test race bench-smoke cover fuzz-smoke serve-smoke snap-smoke disk-smoke load-smoke ingest-smoke cluster-smoke bench-check

@@ -13,8 +13,9 @@ import (
 // This file implements the concurrent batch-query API shared by every
 // index. An index is split into an immutable structure (blocks, core-sets,
 // samples — everything built at construction time) and per-query mutable
-// state: each query in a batch runs inside its own em.Tracker query view,
-// a private cold LRU cache plus private counters, so any number of
+// state: each query in a batch is handed its own em.Tracker query view,
+// a private cold LRU cache plus private counters, and charges that view
+// explicitly (the view is the query's em.Charger), so any number of
 // read-only queries can execute in parallel without corrupting the I/O
 // accounting that validates the paper's Theorem 1/2 bounds. On completion
 // each view's counters are merged into the index-wide Stats atomically.
@@ -119,13 +120,13 @@ type HalfspaceQuery struct {
 type batchSpec[Q, R any] struct {
 	ctx QueryCtx
 	k   int
-	one func(Q) []R
-	max func(Q) []R // shared-path top-1 fallback; must not require a view
+	one func(em.Charger, Q) []R // answers one query, charging the given view
+	max func(Q) []R             // shared-path top-1 fallback
 }
 
-// runBatch answers qs[i] via spec.one(qs[i]) on a bounded pool of
-// `parallelism` worker goroutines, wrapping each call in an em.Tracker
-// query view so the result carries that query's own cold-cache I/O stats.
+// runBatch answers qs[i] via spec.one(v, qs[i]) on a bounded pool of
+// `parallelism` worker goroutines, where v is a fresh em.Tracker query
+// view, so the result carries that query's own cold-cache I/O stats.
 // parallelism <= 0 means GOMAXPROCS. Results are positionally aligned
 // with qs.
 //
@@ -135,7 +136,7 @@ type batchSpec[Q, R any] struct {
 // boundary and mapped onto the result's Outcome/Err (plus the Max
 // fallback when requested). The view's partial counters stay exact.
 //
-// Any other panic inside spec.one(q) does not wedge the pool: the
+// Any other panic inside spec.one does not wedge the pool: the
 // panicking worker ends its view, the remaining workers drain, and the
 // first panic value is re-raised on the calling goroutine once all
 // workers have exited. Workers stop claiming new queries after a panic,
@@ -164,24 +165,11 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 			t0 = time.Now()
 		}
 		v := tr.BeginQuery()
+		defer v.End() // a no-op after the End below; closes the view on a panic
 		if limited {
 			v.SetLimits(spec.ctx.IOBudget, spec.ctx.Deadline)
 		}
-		done := false
-		defer func() {
-			if !done {
-				// spec.one(qs[i]) panicked: release the view so the
-				// tracker's goroutine routing table doesn't leak, record
-				// the first panic, and stop the pool from claiming
-				// further queries.
-				v.End()
-				if r := recover(); r != nil {
-					aborted.Store(true)
-					panicked.CompareAndSwap(nil, &r)
-				}
-			}
-		}()
-		items, abort := runLimited(spec.one, qs[i])
+		items, abort := runLimited(spec.one, v, qs[i])
 		st := v.End()
 		out[i] = BatchResult[R]{
 			Items: items,
@@ -218,12 +206,19 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 				ctx: spec.ctx, k: spec.k, outcome: out[i].Outcome, abort: abort,
 			}, func() string { return fmt.Sprintf("%+v", qs[i]) })
 		}
-		done = true
 	}
 	for w := 0; w < parallelism; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				// Record the first panic and stop the pool from
+				// claiming further queries.
+				if r := recover(); r != nil {
+					aborted.Store(true)
+					panicked.CompareAndSwap(nil, &r)
+				}
+			}()
 			for !aborted.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= len(qs) {
@@ -244,7 +239,7 @@ func runBatch[Q, R any](tr *em.Tracker, ob *indexObs, qs []Q, parallelism int, s
 // the budget/deadline sentinel raised by the view's charge paths — into
 // a return value. Every other panic keeps unwinding into runBatch's
 // pool-abort handling.
-func runLimited[Q, R any](one func(Q) []R, q Q) (items []R, abort *em.AbortError) {
+func runLimited[Q, R any](one func(em.Charger, Q) []R, v *em.QueryView, q Q) (items []R, abort *em.AbortError) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ae, ok := r.(*em.AbortError); ok {
@@ -254,5 +249,5 @@ func runLimited[Q, R any](one func(Q) []R, q Q) (items []R, abort *em.AbortError
 			panic(r)
 		}
 	}()
-	return one(q), nil
+	return one(v, q), nil
 }

@@ -39,6 +39,7 @@
 //	POST /query        {"queries":[...], "k":10} -> per-query answers + I/O stats
 //	                   (a body over 1 MiB is refused with 413)
 //	POST /ingest       NDJSON bulk update: one item (or {"delete": w}) per line
+//	                   (a body over 256 MiB is refused with 413)
 //	POST /snapshot     checkpoint the index into -snapshot-dir now
 //	GET  /debug/slow   recent slow-query traces (plain text)
 //	GET  /debug/trace  Chrome trace-event JSON for n sample queries
@@ -642,10 +643,13 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // endpoint over many single inserts.
 //
 // The body is fully decoded before anything is applied, so malformed
-// lines reject the request with no mutation. Runs then apply in stream
-// order; a run rejected by validation (duplicate weight, bad geometry,
+// lines, or a body over maxIngestBody (413), reject the request with no
+// mutation. Runs then apply in stream order; a run rejected by validation (duplicate weight, bad geometry,
 // static index) stops the stream there and the response reports what
 // was applied before it.
+// maxIngestBody caps an /ingest body; a larger one is refused with 413.
+const maxIngestBody = 256 << 20
+
 func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -660,7 +664,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		lineNo  int
 		decoded int
 	)
-	sc := bufio.NewScanner(io.LimitReader(r.Body, 256<<20))
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	for sc.Scan() {
 		lineNo++
@@ -694,6 +698,11 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		decoded++
 	}
 	if err := sc.Err(); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -30,5 +32,41 @@ func TestQueryBodyLimit(t *testing.T) {
 		if rec.Code != tc.want {
 			t.Errorf("%d-byte body: status %d (%s), want %d", tc.size, rec.Code, strings.TrimSpace(rec.Body.String()), tc.want)
 		}
+	}
+}
+
+// TestIngestBodyLimit: an /ingest body over maxIngestBody is refused with
+// 413 and applies nothing, even when the cut falls between lines. The
+// body is one valid item, whitespace-only lines past the cap, then a
+// second valid item; it is streamed, never held in memory.
+func TestIngestBodyLimit(t *testing.T) {
+	s, err := buildServer("interval", 500, 1, 1, 0, 1, "", "", 0, newRingWriter(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.ix.Len()
+	pad := strings.Repeat(" ", 256<<10-1) + "\n"
+	parts := []io.Reader{strings.NewReader(`{"lo": 1, "hi": 2, "weight": 2000000001}` + "\n")}
+	for n := 0; n <= maxIngestBody; n += len(pad) {
+		parts = append(parts, strings.NewReader(pad))
+	}
+	parts = append(parts, strings.NewReader(`{"lo": 3, "hi": 4, "weight": 2000000002}`+"\n"))
+
+	rec := httptest.NewRecorder()
+	s.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/ingest", io.MultiReader(parts...)))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d (%s), want %d", rec.Code, strings.TrimSpace(rec.Body.String()), http.StatusRequestEntityTooLarge)
+	}
+	if got := s.ix.Len(); got != before {
+		t.Fatalf("index holds %d items after a refused ingest, want %d", got, before)
+	}
+
+	// A small body still goes through.
+	rec = httptest.NewRecorder()
+	s.handleIngest(rec, httptest.NewRequest(http.MethodPost, "/ingest",
+		strings.NewReader(`{"lo": 1, "hi": 2, "weight": 2000000001}`+"\n")))
+	var resp struct{ Inserted int }
+	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK || resp.Inserted != 1 {
+		t.Fatalf("small ingest: status %d, inserted %d, err %v", rec.Code, resp.Inserted, err)
 	}
 }

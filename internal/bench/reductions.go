@@ -15,6 +15,11 @@ func newTrackerB() *em.Tracker {
 	return em.NewTracker(em.Config{B: benchB, MemBlocks: 8})
 }
 
+// untracked is the charger that queries on structures built without a
+// tracker (the RAM-model runs) go through; such structures charge it
+// nothing.
+var untracked em.Charger = newTrackerB()
+
 // coldIOs measures the I/O cost of fn from a cold cache.
 func coldIOs(tr *em.Tracker, fn func()) int64 {
 	tr.DropCache()
@@ -83,8 +88,8 @@ func runE4(w io.Writer, cfg Config) error {
 		var priIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](tree, q, tau) })
-			topIOs += coldIOs(trTop, func() { wc.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](trPri, tree, q, tau) })
+			topIOs += coldIOs(trTop, func() { wc.TopK(trTop, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qTop := float64(topIOs) / float64(queries)
@@ -141,9 +146,9 @@ func runE5(w io.Writer, cfg Config) error {
 		var priIOs, maxIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](tree, q, tau) })
-			maxIOs += coldIOs(trMax, func() { sm.MaxItem(q) })
-			topIOs += coldIOs(trTop, func() { exp.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](trPri, tree, q, tau) })
+			maxIOs += coldIOs(trMax, func() { sm.MaxItem(trMax, q) })
+			topIOs += coldIOs(trTop, func() { exp.TopK(trTop, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qMax := float64(maxIOs) / float64(queries)
@@ -204,11 +209,11 @@ func runE6(w io.Writer, cfg Config) error {
 	for _, k := range ks {
 		var bIOs, cIOs, wIOs, eIOs, sIOs int64
 		for _, q := range qs {
-			bIOs += coldIOs(trBase, func() { base.TopK(q, k) })
-			cIOs += coldIOs(trCnt, func() { cb.TopK(q, k) })
-			wIOs += coldIOs(trWC, func() { wc.TopK(q, k) })
-			eIOs += coldIOs(trExp, func() { exp.TopK(q, k) })
-			sIOs += coldIOs(trScan, func() { scan.TopK(q, k) })
+			bIOs += coldIOs(trBase, func() { base.TopK(trBase, q, k) })
+			cIOs += coldIOs(trCnt, func() { cb.TopK(trCnt, q, k) })
+			wIOs += coldIOs(trWC, func() { wc.TopK(trWC, q, k) })
+			eIOs += coldIOs(trExp, func() { exp.TopK(trExp, q, k) })
+			sIOs += coldIOs(trScan, func() { scan.TopK(trScan, q, k) })
 		}
 		q := float64(queries)
 		t.row(k, float64(k)/benchB, float64(bIOs)/q, float64(cIOs)/q, float64(wIOs)/q, float64(eIOs)/q, float64(sIOs)/q)
@@ -389,8 +394,8 @@ func runE15(w io.Writer, cfg Config) error {
 		var priIOs, topIOs int64
 		for _, q := range qs {
 			tau := ivTopKOracle(items, q, k)
-			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](hardTree, q, tau) })
-			topIOs += coldIOs(trTop, func() { wc.TopK(q, k) })
+			priIOs += coldIOs(trPri, func() { core.CollectAll[float64](trPri, hardTree, q, tau) })
+			topIOs += coldIOs(trTop, func() { wc.TopK(trTop, q, k) })
 		}
 		qPri := float64(priIOs) / float64(queries)
 		qTop := float64(topIOs) / float64(queries)
@@ -409,11 +414,11 @@ type surchargedPri struct {
 	extraIOs int64
 }
 
-func (s *surchargedPri) ReportAbove(q float64, tau float64, emit func(core.Item[interval.Interval]) bool) {
+func (s *surchargedPri) ReportAbove(c em.Charger, q float64, tau float64, emit func(core.Item[interval.Interval]) bool) {
 	if s.extraIOs > 0 {
-		s.tr.ScanCost(int(s.extraIOs) * s.tr.B())
+		c.ScanCost(int(s.extraIOs) * s.tr.B())
 	}
-	s.inner.ReportAbove(q, tau, emit)
+	s.inner.ReportAbove(c, q, tau, emit)
 }
 
 // E16 — round geometry of the Theorem 2 query algorithm: per-round failure
@@ -436,7 +441,7 @@ func runE16(w io.Writer, cfg Config) error {
 	}
 	qs := StabPoints(cfg.Seed+160, queries)
 	for _, q := range qs {
-		exp.TopK(q, 200)
+		exp.TopK(untracked, q, 200)
 	}
 	st := exp.Stats()
 	t := newTable("rounds", "queries", "fraction")

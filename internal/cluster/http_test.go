@@ -299,3 +299,27 @@ func TestQueryBodyLimit(t *testing.T) {
 		}
 	}
 }
+
+// TestNodeQueryBodyLimit: a node's /cluster/query refuses a body one byte
+// over its 8 MiB limit with 413 instead of a JSON syntax error, and does
+// not refuse one at exactly the limit.
+func TestNodeQueryBodyLimit(t *testing.T) {
+	spec, _ := topk.ProblemByName("interval")
+	dir, _ := buildSnapshot(t, spec)
+	shards, err := cluster.LoadShards(dir, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := cluster.NewNode("solo", spec.Name, shards).Handler()
+	q, _ := json.Marshal(spec.WireQueries(2, testSeed))
+	head, tail := `{"shard":1,"queries":`+string(q)+`,`, `"k":5}`
+	const limit = 8 << 20
+	for _, size := range []int{limit, limit + 1} {
+		body := head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/query", strings.NewReader(body)))
+		if tooBig := rec.Code == http.StatusRequestEntityTooLarge; tooBig != (size > limit) {
+			t.Errorf("%d-byte body: status %d (%s)", size, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+	}
+}

@@ -3,8 +3,8 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"time"
@@ -122,9 +122,13 @@ func (n *Node) QueryShard(_ context.Context, req ShardRequest) (ShardResponse, e
 	return out, nil
 }
 
+// maxShardRequestBody caps a /cluster/query body; a larger one is
+// refused with 413.
+const maxShardRequestBody = 8 << 20
+
 // Handler returns the node's HTTP surface:
 //
-//	POST /cluster/query   ShardRequest -> ShardResponse
+//	POST /cluster/query   ShardRequest -> ShardResponse (413 over 8 MiB)
 //	GET  /cluster/info    NodeInfo
 //	GET  /metrics         Prometheus text exposition
 //	GET  /healthz         liveness
@@ -136,7 +140,12 @@ func (n *Node) Handler() http.Handler {
 			return
 		}
 		var req ShardRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxShardRequestBody)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
+				return
+			}
 			http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 			return
 		}

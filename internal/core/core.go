@@ -32,6 +32,7 @@ import (
 	"math"
 	"slices"
 
+	"topk/internal/em"
 	"topk/internal/xsort"
 )
 
@@ -55,24 +56,29 @@ func SortByWeightDesc[V any](items []Item[V]) {
 //
 // ReportAbove must call emit once for each item e satisfying q with
 // w(e) ≥ tau, in unspecified order, and stop as soon as emit returns
-// false. Implementations charge their own I/Os to their em.Tracker; the
-// paper's contract is a cost of Q_pri(n) + O(t/B) where t is the number of
-// emitted items.
+// false. The paper's contract is a cost of Q_pri(n) + O(t/B) where t is
+// the number of emitted items.
+//
+// Every query method in this package takes the em.Charger the query's
+// I/Os and trace spans go to: the structure's own tracker (the shared
+// path) or a query view opened on it. A structure built without a tracker
+// charges nothing, but reductions still open spans on c, so c is never
+// nil.
 type Prioritized[Q, V any] interface {
-	ReportAbove(q Q, tau float64, emit func(Item[V]) bool)
+	ReportAbove(c em.Charger, q Q, tau float64, emit func(Item[V]) bool)
 }
 
 // Max is a structure answering max-reporting (top-1) queries in Q_max(n).
 type Max[Q, V any] interface {
 	// MaxItem returns the heaviest item satisfying q; ok is false when
 	// q(D) is empty.
-	MaxItem(q Q) (item Item[V], ok bool)
+	MaxItem(c em.Charger, q Q) (item Item[V], ok bool)
 }
 
 // TopK is a structure answering top-k queries. The result is
 // weight-descending and has min(k, |q(D)|) items.
 type TopK[Q, V any] interface {
-	TopK(q Q, k int) []Item[V]
+	TopK(c em.Charger, q Q, k int) []Item[V]
 }
 
 // Updatable is the dynamic interface required from building blocks plugged
@@ -121,10 +127,11 @@ type DynamicMaxFactory[Q, V any] func(items []Item[V]) DynamicMax[Q, V]
 // limit+1 elements have been reported. It returns the collected items
 // (at most limit+1) and whether the query terminated by itself, i.e.
 // complete == true means the returned items are all of {e ∈ q(D) :
-// w(e) ≥ tau}.
-func CollectAtMost[Q, V any](p Prioritized[Q, V], q Q, tau float64, limit int) (items []Item[V], complete bool) {
-	complete = true
-	p.ReportAbove(q, tau, func(it Item[V]) bool {
+// w(e) ≥ tau}. The items are appended to buf[:0], so a caller running
+// several probes can reuse one buffer (nil allocates a fresh one).
+func CollectAtMost[Q, V any](c em.Charger, p Prioritized[Q, V], q Q, tau float64, limit int, buf []Item[V]) (items []Item[V], complete bool) {
+	items, complete = buf[:0], true
+	p.ReportAbove(c, q, tau, func(it Item[V]) bool {
 		items = append(items, it)
 		if len(items) > limit {
 			complete = false
@@ -136,9 +143,9 @@ func CollectAtMost[Q, V any](p Prioritized[Q, V], q Q, tau float64, limit int) (
 }
 
 // CollectAll drains a prioritized query with no cap.
-func CollectAll[Q, V any](p Prioritized[Q, V], q Q, tau float64) []Item[V] {
+func CollectAll[Q, V any](c em.Charger, p Prioritized[Q, V], q Q, tau float64) []Item[V] {
 	var items []Item[V]
-	p.ReportAbove(q, tau, func(it Item[V]) bool {
+	p.ReportAbove(c, q, tau, func(it Item[V]) bool {
 		items = append(items, it)
 		return true
 	})

@@ -26,7 +26,7 @@ import (
 
 // Emptiness answers "is there any element satisfying q?" over a fixed set.
 type Emptiness[Q any] interface {
-	NonEmpty(q Q) bool
+	NonEmpty(c em.Charger, q Q) bool
 }
 
 // EmptinessFactory builds an emptiness structure over a subset of items.
@@ -83,13 +83,13 @@ func (m *MaxFromEmptiness[Q, V]) build(sorted []Item[V], newEmpt EmptinessFactor
 }
 
 // MaxItem returns the heaviest item satisfying q.
-func (m *MaxFromEmptiness[Q, V]) MaxItem(q Q) (Item[V], bool) {
+func (m *MaxFromEmptiness[Q, V]) MaxItem(c em.Charger, q Q) (Item[V], bool) {
 	nd := m.root
-	if nd == nil || !m.probe(nd, q) {
+	if nd == nil || !m.probe(c, nd, q) {
 		return Item[V]{}, false
 	}
 	for nd.heavy != nil {
-		if m.probe(nd.heavy, q) {
+		if m.probe(c, nd.heavy, q) {
 			nd = nd.heavy
 		} else {
 			nd = nd.light
@@ -98,9 +98,9 @@ func (m *MaxFromEmptiness[Q, V]) MaxItem(q Q) (Item[V], bool) {
 	return nd.item, true
 }
 
-func (m *MaxFromEmptiness[Q, V]) probe(nd *meNode[Q, V], q Q) bool {
+func (m *MaxFromEmptiness[Q, V]) probe(c em.Charger, nd *meNode[Q, V], q Q) bool {
 	m.emptinessQueries.Add(1)
-	return nd.empt.NonEmpty(q)
+	return nd.empt.NonEmpty(c, q)
 }
 
 // EmptinessQueries returns the number of NonEmpty probes issued so far.

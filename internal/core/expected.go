@@ -47,8 +47,9 @@ type ExpectedOptions struct {
 	Sigma float64
 	// Seed drives sampling; same seed ⇒ same structure.
 	Seed uint64
-	// Tracker, when non-nil, is charged the reduction's own scan and
-	// k-selection costs.
+	// Tracker, when non-nil, instruments the reduction: rebuild spans go
+	// to it, and each query charges its own scan and k-selection costs
+	// to the charger it is given.
 	Tracker *em.Tracker
 	// RebuildFactor triggers a full rebuild when the live size drifts by
 	// this factor from the size at (re)build time, keeping the ladder
@@ -275,13 +276,12 @@ func (e *Expected[Q, V]) Items() []Item[V] {
 // result is weight-descending with min(k, |q(D)|) items. When the tracker
 // has a trace sink, each round, probe, max lookup and harvest is emitted
 // as a span carrying its I/O delta (phases.go).
-func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
+func (e *Expected[Q, V]) TopK(c em.Charger, q Q, k int) []Item[V] {
 	e.qstats.queries.Add(1)
 	n := len(e.items)
 	if k <= 0 || n == 0 {
 		return nil
 	}
-	tr := e.opts.Tracker
 
 	// Queries with k < B·Q_max(n) are treated as top-(B·Q_max(n)) and
 	// finished with k-selection.
@@ -294,9 +294,9 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 	// O(n/B) = O(k/B).
 	if len(e.levels) == 0 || float64(kq) > e.levels[len(e.levels)-1].k {
 		e.qstats.naiveScans.Add(1)
-		sp := tr.BeginSpan()
-		res := e.scanTopK(q, k)
-		tr.EndSpan(sp, PhaseT2Scan, -1, int64(n))
+		sp := c.BeginSpan()
+		res := e.scanTopK(c, q, k)
+		c.EndSpan(sp, PhaseT2Scan, -1, int64(n))
 		return res
 	}
 
@@ -306,52 +306,57 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 		lo++
 	}
 
+	// One buffer serves every probe and harvest of the query: each
+	// collection is discarded before the next one starts.
+	var buf []Item[V]
 	rounds := 0
 	for j := lo; j < len(e.levels); j++ {
 		rounds++
 		lvl := &e.levels[j]
 		cap4K := int(4 * lvl.k)
-		rsp := tr.BeginSpan()
+		rsp := c.BeginSpan()
 
 		// Step 1: if |q(D)| ≤ 4K_j the cost-monitored query solves it.
-		sp := tr.BeginSpan()
-		cand, complete := CollectAtMost(e.pri, q, math.Inf(-1), cap4K)
-		tr.EndSpan(sp, probePhase(complete), j, int64(len(cand)))
+		sp := c.BeginSpan()
+		cand, complete := CollectAtMost(c, e.pri, q, math.Inf(-1), cap4K, buf)
+		c.EndSpan(sp, probePhase(complete), j, int64(len(cand)))
 		if complete {
-			e.chargeScan(len(cand))
-			tr.EndSpan(rsp, PhaseT2RoundDirect, j, int64(rounds))
+			e.chargeScan(c, len(cand))
+			c.EndSpan(rsp, PhaseT2RoundDirect, j, int64(rounds))
 			e.finishRounds(rounds)
 			return TopKOf(cand, k)
 		}
+		buf = cand
 
 		// Step 2: heaviest sampled element in q(R_j).
 		tau := math.Inf(-1)
-		sp = tr.BeginSpan()
-		if it, ok := lvl.max.MaxItem(q); ok {
+		sp = c.BeginSpan()
+		if it, ok := lvl.max.MaxItem(c, q); ok {
 			tau = it.Weight
 		}
-		tr.EndSpan(sp, PhaseT2Max, j, 0)
+		c.EndSpan(sp, PhaseT2Max, j, 0)
 		if math.IsInf(tau, -1) {
 			// Empty q(R_j): the τ = −∞ probe would repeat step 1's
 			// capped query and fail; skip straight to the next round.
-			tr.EndSpan(rsp, PhaseT2RoundEmpty, j, int64(rounds))
+			c.EndSpan(rsp, PhaseT2RoundEmpty, j, int64(rounds))
 			continue
 		}
 
 		// Step 3: cost-monitored harvest above τ.
-		sp = tr.BeginSpan()
-		s, complete := CollectAtMost(e.pri, q, tau, cap4K)
-		tr.EndSpan(sp, harvestPhase(complete), j, int64(len(s)))
+		sp = c.BeginSpan()
+		s, complete := CollectAtMost(c, e.pri, q, tau, cap4K, buf)
+		c.EndSpan(sp, harvestPhase(complete), j, int64(len(s)))
 
 		// Step 4: failure tests.
 		if !complete || len(s) <= int(lvl.k) {
-			tr.EndSpan(rsp, PhaseT2RoundFail, j, int64(rounds))
+			c.EndSpan(rsp, PhaseT2RoundFail, j, int64(rounds))
+			buf = s
 			continue
 		}
 
 		// Step 5: success — k-selection over S.
-		e.chargeScan(len(s))
-		tr.EndSpan(rsp, PhaseT2RoundOK, j, int64(rounds))
+		e.chargeScan(c, len(s))
+		c.EndSpan(rsp, PhaseT2RoundOK, j, int64(rounds))
 		e.finishRounds(rounds)
 		return TopKOf(s, k)
 	}
@@ -359,9 +364,9 @@ func (e *Expected[Q, V]) TopK(q Q, k int) []Item[V] {
 	// Step 6(b): ladder exhausted; read the whole D.
 	e.qstats.naiveScans.Add(1)
 	e.finishRounds(rounds)
-	sp := tr.BeginSpan()
-	res := e.scanTopK(q, k)
-	tr.EndSpan(sp, PhaseT2Scan, -1, int64(n))
+	sp := c.BeginSpan()
+	res := e.scanTopK(c, q, k)
+	c.EndSpan(sp, PhaseT2Scan, -1, int64(n))
 	return res
 }
 
@@ -391,8 +396,8 @@ func (e *Expected[Q, V]) finishRounds(r int) {
 	e.qstats.roundHist[idx].Add(1)
 }
 
-func (e *Expected[Q, V]) scanTopK(q Q, k int) []Item[V] {
-	e.chargeScan(len(e.items))
+func (e *Expected[Q, V]) scanTopK(c em.Charger, q Q, k int) []Item[V] {
+	e.chargeScan(c, len(e.items))
 	col := xsort.NewCollector(k, LessItems[V])
 	for _, it := range e.items {
 		if e.match(q, it.Value) {
@@ -402,9 +407,9 @@ func (e *Expected[Q, V]) scanTopK(q Q, k int) []Item[V] {
 	return col.Items()
 }
 
-func (e *Expected[Q, V]) chargeScan(nItems int) {
+func (e *Expected[Q, V]) chargeScan(c em.Charger, nItems int) {
 	if e.opts.Tracker != nil {
-		e.opts.Tracker.ScanCost(nItems)
+		c.ScanCost(nItems)
 	}
 }
 

@@ -106,9 +106,9 @@ func NewMinZ(items []core.Item[Pt3], tracker *em.Tracker) *MinZ {
 func (m *MinZ) N() int { return len(m.xs) }
 
 // MinItem returns a point dominated by q with the minimal z-coordinate.
-func (m *MinZ) MinItem(q Pt3) (core.Item[Pt3], bool) {
+func (m *MinZ) MinItem(c em.Charger, q Pt3) (core.Item[Pt3], bool) {
 	if m.tracker != nil {
-		m.tracker.PathCost(2*log2ceil(len(m.xs)) + 2)
+		c.PathCost(2*log2ceil(len(m.xs)) + 2)
 	}
 	v := sort.Search(len(m.xs), func(i int) bool { return m.xs[i] > q.X })
 	_, fv, ok := m.versions[v].Floor(q.Y)
@@ -119,8 +119,8 @@ func (m *MinZ) MinItem(q Pt3) (core.Item[Pt3], bool) {
 }
 
 // NonEmpty implements core.Emptiness[Pt3].
-func (m *MinZ) NonEmpty(q Pt3) bool {
-	_, ok := m.MinItem(q)
+func (m *MinZ) NonEmpty(c em.Charger, q Pt3) bool {
+	_, ok := m.MinItem(c, q)
 	return ok
 }
 

@@ -105,10 +105,11 @@ type Builder[Q, V any] func(items []core.Item[V]) (core.TopK[Q, V], error)
 
 // Options configures the overlay.
 type Options struct {
-	// Tracker, when non-nil, is charged the overlay's own scan costs
-	// (tail scans, candidate k-selection) and has substructure blocks
-	// released on discard. Substructure builds and queries charge it
-	// through the builders' own closures.
+	// Tracker, when non-nil, instruments the overlay: updates charge
+	// it and release substructure blocks on discard, and each query
+	// charges the overlay's own scan costs (tail scans, candidate
+	// k-selection) to the charger it is given. Substructure builds
+	// charge it through the builders' own closures.
 	Tracker *em.Tracker
 	// TailCap is the insert-buffer capacity; reaching it triggers a merge
 	// into the level ladder. Default 64 (one block of the paper's minimum
@@ -471,43 +472,42 @@ func (o *Overlay[Q, V]) single() (*level[Q, V], bool) {
 // tail and tombstone-filtering: level j contributes its top-(k + dead_j)
 // matches, which necessarily include its k heaviest live ones. The result
 // is weight-descending with min(k, |q(D)|) items. Read-only.
-func (o *Overlay[Q, V]) TopK(q Q, k int) []core.Item[V] {
+func (o *Overlay[Q, V]) TopK(c em.Charger, q Q, k int) []core.Item[V] {
 	if k <= 0 {
 		return nil
 	}
 	// Fast path: one substructure, no tail, no tombstones — the static
 	// shape; the substructure's own answer is the overlay's.
 	if lvl, only := o.single(); only && len(o.tail) == 0 && len(lvl.dead) == 0 {
-		return lvl.sub.TopK(q, k)
+		return lvl.sub.TopK(c, q, k)
 	}
-	tr := o.opts.Tracker
 	var cand []core.Item[V]
 	for j, lvl := range o.levels {
 		if lvl == nil {
 			continue
 		}
-		sp := tr.BeginSpan()
-		for _, it := range lvl.sub.TopK(q, k+len(lvl.dead)) {
+		sp := c.BeginSpan()
+		for _, it := range lvl.sub.TopK(c, q, k+len(lvl.dead)) {
 			if _, gone := lvl.dead[it.Weight]; !gone {
 				cand = append(cand, it)
 			}
 		}
-		tr.EndSpan(sp, PhaseLevel, j, int64(len(lvl.dead)))
+		c.EndSpan(sp, PhaseLevel, j, int64(len(lvl.dead)))
 	}
 	if len(o.tail) > 0 {
-		sp := tr.BeginSpan()
-		o.charge(len(o.tail))
+		sp := c.BeginSpan()
+		o.charge(c, len(o.tail))
 		for _, it := range o.tail {
 			if o.match(q, it.Value) {
 				cand = append(cand, it)
 			}
 		}
-		tr.EndSpan(sp, PhaseTail, -1, int64(len(o.tail)))
+		c.EndSpan(sp, PhaseTail, -1, int64(len(o.tail)))
 	}
-	sp := tr.BeginSpan()
-	o.charge(len(cand)) // final k-selection over the merged candidates
+	sp := c.BeginSpan()
+	o.charge(c, len(cand)) // final k-selection over the merged candidates
 	res := core.TopKOf(cand, k)
-	tr.EndSpan(sp, PhaseSelect, -1, int64(len(cand)))
+	c.EndSpan(sp, PhaseSelect, -1, int64(len(cand)))
 	return res
 }
 
@@ -516,14 +516,14 @@ func (o *Overlay[Q, V]) TopK(q Q, k int) []core.Item[V] {
 // stops the whole traversal. Read-only. This makes the overlay its own
 // prioritized structure, so facades can serve ReportAbove without a second
 // black box.
-func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bool) {
+func (o *Overlay[Q, V]) ReportAbove(c em.Charger, q Q, tau float64, emit func(core.Item[V]) bool) {
 	stopped := false
 	for _, lvl := range o.levels {
 		if lvl == nil || stopped {
 			continue
 		}
 		if lvl.pri != nil {
-			lvl.pri.ReportAbove(q, tau, func(it core.Item[V]) bool {
+			lvl.pri.ReportAbove(c, q, tau, func(it core.Item[V]) bool {
 				if _, gone := lvl.dead[it.Weight]; gone {
 					return true
 				}
@@ -535,7 +535,7 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 			})
 			continue
 		}
-		o.charge(len(lvl.items))
+		o.charge(c, len(lvl.items))
 		for _, it := range lvl.items {
 			if stopped {
 				break
@@ -554,7 +554,7 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 	if stopped || len(o.tail) == 0 {
 		return
 	}
-	o.charge(len(o.tail))
+	o.charge(c, len(o.tail))
 	for _, it := range o.tail {
 		if it.Weight >= tau && o.match(q, it.Value) {
 			if !emit(it) {
@@ -567,10 +567,10 @@ func (o *Overlay[Q, V]) ReportAbove(q Q, tau float64, emit func(core.Item[V]) bo
 // Prioritized exposes the overlay's merged prioritized view (itself).
 func (o *Overlay[Q, V]) Prioritized() core.Prioritized[Q, V] { return o }
 
-// charge bills an O(n/B) scan to the tracker, if any.
-func (o *Overlay[Q, V]) charge(nItems int) {
+// charge bills an O(n/B) scan to c when the overlay is tracked.
+func (o *Overlay[Q, V]) charge(c em.Charger, nItems int) {
 	if o.opts.Tracker != nil {
-		o.opts.Tracker.ScanCost(nItems)
+		c.ScanCost(nItems)
 	}
 }
 

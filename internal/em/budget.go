@@ -69,8 +69,8 @@ func (v *QueryView) SetLimits(budget int64, deadline time.Time) {
 	v.untilCheck = 1
 }
 
-// checkLimits enforces SetLimits on every charge path (read, write,
-// readRun, and the cost-level PathCost/ScanCost routing). Cache hits count
+// checkLimits enforces SetLimits on every charge path (Read, Write,
+// ReadRun, PathCost and ScanCost). Cache hits count
 // as charge events for deadline polling but not against the I/O budget:
 // the budget is an I/O bound, the deadline a time bound.
 func (v *QueryView) checkLimits() {
@@ -92,8 +92,8 @@ func (v *QueryView) checkLimits() {
 	}
 }
 
-// addReads routes a cost-level read charge (PathCost, ScanCost) through
-// the view: counter, physical stand-in, then limit check.
+// addReads books a cost-level read charge (PathCost, ScanCost) on the
+// view: counter, physical stand-in, then limit check.
 func (v *QueryView) addReads(n int64) {
 	v.reads += n
 	v.chargeReads(n)

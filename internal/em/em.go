@@ -41,12 +41,12 @@
 // A Tracker separates the immutable machine description (Config, the block
 // allocation ledger) from the mutable I/O accounting. Builds and updates
 // must be serialized by the caller, but read-only queries may run
-// concurrently: each query goroutine calls BeginQuery to obtain a private
-// QueryView — its own cold LRU cache and counters — and charges issued by
-// that goroutine are routed to the view until End merges them into the
-// tracker-wide totals with atomic adds. Charges made with no active view
-// go to the shared cache (mutex-guarded) and shared counters (atomic), so
-// single-goroutine use keeps its exact previous semantics.
+// concurrently. Every query method takes the Charger it charges: either
+// the Tracker itself (the shared path: mutex-guarded cache, atomic
+// counters) or a QueryView from BeginQuery — a private cold LRU cache and
+// counters that End merges into the tracker-wide totals with atomic adds.
+// Nothing is routed implicitly: a query charges exactly the handle it was
+// given, whichever goroutine runs it.
 package em
 
 import (
@@ -107,13 +107,28 @@ func (s Stats) Sub(t Stats) Stats {
 	}
 }
 
+// A Charger receives the block charges and trace spans of one query. The
+// Tracker implements it for the shared path; a QueryView implements it
+// for one query's private cold cache. Query methods throughout the
+// repository take the Charger to charge as an explicit argument, so a
+// query's cost lands on exactly the handle its caller chose.
+type Charger interface {
+	Read(id BlockID)
+	Write(id BlockID)
+	ReadRun(id BlockID, n int)
+	PathCost(nodes int)
+	ScanCost(nItems int)
+	BeginSpan() SpanMark
+	EndSpan(m SpanMark, phase string, level int, arg int64)
+}
+
 // Tracker charges I/Os for block touches on one simulated EM machine.
 //
 // Structure builds and updates must not run concurrently with anything else
-// on the same tracker, but read-only queries may: wrap each query in
-// BeginQuery/End to give it a private QueryView, or rely on the shared
-// path, which is itself safe (mutex-guarded cache, atomic counters) at the
-// price of queries sharing one cache. See the package comment.
+// on the same tracker, but read-only queries may: give each query a
+// private QueryView from BeginQuery, or charge the tracker itself, which
+// is safe (mutex-guarded cache, atomic counters) at the price of queries
+// sharing one cache. See the package comment.
 type Tracker struct {
 	cfg Config
 
@@ -137,8 +152,9 @@ type Tracker struct {
 	faults    atomic.Int64
 	closed    atomic.Bool
 
-	views  sync.Map     // goroutine id (uint64) -> *QueryView
-	nviews atomic.Int32 // active-view count; zero means the fast path
+	// open counts the query views begun and not yet ended; structural
+	// mutation panics while it is non-zero.
+	open atomic.Int32
 
 	// sink is the installed trace sink, nil when tracing is off; see
 	// trace.go. spanDepth tracks shared-path span nesting.
@@ -300,8 +316,8 @@ func (t *Tracker) DropCache() {
 
 // Alloc reserves one new block and returns its ID. Allocation itself
 // charges one write I/O (the block must reach disk at least once).
-// Allocation mutates the structure, so it panics inside a read-only
-// query view.
+// Allocation mutates the structure, so it panics while a read-only
+// query view is open.
 func (t *Tracker) Alloc() BlockID {
 	t.checkMutable("Alloc")
 	id := BlockID(t.next.Add(1) - 1)
@@ -372,12 +388,12 @@ func (t *Tracker) ReleaseBlocks(n int64) {
 	t.blocks.Add(-n)
 }
 
-// checkMutable panics if the calling goroutine is inside a read-only query
-// view: queries must not change the allocation ledger, and the panic turns
+// checkMutable panics while any read-only query view on the tracker is
+// open: builds and updates must not overlap queries, and the panic turns
 // a silent accounting corruption into an immediate test failure.
 func (t *Tracker) checkMutable(op string) {
-	if t.currentView() != nil {
-		panic("em: " + op + " inside a read-only query view")
+	if t.open.Load() != 0 {
+		panic("em: " + op + " while a read-only query view is open")
 	}
 }
 
@@ -386,10 +402,6 @@ func (t *Tracker) checkMutable(op string) {
 func (t *Tracker) Read(id BlockID) {
 	if id == 0 {
 		panic("em: read of invalid block 0")
-	}
-	if v := t.currentView(); v != nil {
-		v.read(id)
-		return
 	}
 	t.mu.Lock()
 	hit := t.cache.touch(id)
@@ -411,10 +423,6 @@ func (t *Tracker) Write(id BlockID) {
 	if id == 0 {
 		panic("em: write of invalid block 0")
 	}
-	if v := t.currentView(); v != nil {
-		v.write(id)
-		return
-	}
 	t.mu.Lock()
 	t.cache.touch(id)
 	err := t.storeWriteLocked(id)
@@ -428,10 +436,6 @@ func (t *Tracker) Write(id BlockID) {
 // scan would flush itself), so each block costs one read.
 func (t *Tracker) ReadRun(id BlockID, n int) {
 	if n <= 0 {
-		return
-	}
-	if v := t.currentView(); v != nil {
-		v.readRun(id, n)
 		return
 	}
 	if n <= t.cfg.MemBlocks {
@@ -464,16 +468,12 @@ func (t *Tracker) PathCost(nodes int) {
 		return
 	}
 	n := pathReads(nodes, t.cfg.B)
-	if v := t.currentView(); v != nil {
-		v.addReads(n)
-		return
-	}
 	t.reads.Add(n)
 	t.chargeReads(n)
 }
 
-// pathReads is the blocked-layout cost formula shared by the tracker and
-// its query views.
+// pathReads and scanReads are the cost formulas of PathCost and
+// ScanCost, shared by the tracker and its query views.
 func pathReads(nodes, b int) int64 {
 	per := 1
 	for ; b > 1; b >>= 1 {
@@ -481,6 +481,8 @@ func pathReads(nodes, b int) int64 {
 	}
 	return int64((nodes + per - 1) / per)
 }
+
+func scanReads(nItems, b int) int64 { return int64((nItems + b - 1) / b) }
 
 // ScanCost charges the I/Os of scanning nItems items packed B-per-block:
 // ceil(nItems/B) reads. It is the standard O(t/B) output term. The scan is
@@ -490,11 +492,7 @@ func (t *Tracker) ScanCost(nItems int) {
 	if nItems <= 0 {
 		return
 	}
-	n := int64((nItems + t.cfg.B - 1) / t.cfg.B)
-	if v := t.currentView(); v != nil {
-		v.addReads(n)
-		return
-	}
+	n := scanReads(nItems, t.cfg.B)
 	t.reads.Add(n)
 	t.chargeReads(n)
 }
@@ -504,8 +502,8 @@ func (t *Tracker) ScanCost(nItems int) {
 // max(1, ⌈log_{M/B}(n/B)⌉) passes — the textbook EM sorting bound
 // (Aggarwal & Vitter). It is the bulk-ingest charge path: merging a
 // validated batch into a dynamized structure pays one streaming sort of
-// the batch, not per-item costs. Update-path only (never inside a query
-// view).
+// the batch, not per-item costs. Update-path only: it panics while a
+// query view is open.
 func (t *Tracker) SortCost(nItems int) {
 	t.checkMutable("SortCost")
 	if nItems <= 0 {
@@ -553,9 +551,10 @@ func (t *Tracker) SeqBlocks(bytes int64) int64 {
 // SnapshotCost charges the sequential writes of emitting a snapshot of
 // the given byte length: ceil(bytes/8/B) write I/Os, the O(size/B)
 // streaming cost. Snapshotting reads resident state and appends to a
-// fresh stream, so no reads and no cache interaction are charged.
+// fresh stream, so no reads and no cache interaction are charged. Unlike
+// the structural mutators it is allowed while query views are open: a
+// snapshot may be taken beside live queries.
 func (t *Tracker) SnapshotCost(bytes int64) {
-	t.checkMutable("SnapshotCost")
 	t.writes.Add(t.SeqBlocks(bytes))
 }
 
@@ -583,23 +582,6 @@ func (t *Tracker) RestoreAccounting(bytes int64, fn func() error) error {
 	t.DropCache()
 	return nil
 }
-
-// currentView returns the calling goroutine's active view, or nil. The
-// common no-views case costs one atomic load.
-func (t *Tracker) currentView() *QueryView {
-	if t.nviews.Load() == 0 {
-		return nil
-	}
-	if v, ok := t.views.Load(goid()); ok {
-		return v.(*QueryView)
-	}
-	return nil
-}
-
-// InView reports whether the calling goroutine is currently inside a
-// query view (between BeginQuery and End). Observability layers use it
-// to avoid double-accounting a query that the view will already report.
-func (t *Tracker) InView() bool { return t.currentView() != nil }
 
 // BlocksFor returns how many blocks are needed to store nItems items of
 // wordsPerItem words each, packed contiguously.

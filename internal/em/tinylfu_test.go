@@ -222,7 +222,7 @@ func TestCacheStatsAggregation(t *testing.T) {
 	// counters.
 	v := tr.BeginQuery()
 	for _, id := range ids {
-		tr.Read(id)
+		v.Read(id)
 	}
 	v.End()
 	after := tr.CacheStats()

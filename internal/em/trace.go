@@ -14,11 +14,11 @@ package em
 // cannot change any measured I/O count (the "observer effect" discussed
 // in DESIGN.md §9).
 //
-// Routing mirrors the charge routing of the tracker: a span begun while
-// the calling goroutine holds a QueryView snapshots the view's private
-// counters and is buffered on the view, giving exact per-query phase
-// deltas; a span begun on the shared path (builds, updates, flush merges
-// — all under the caller's exclusive-access contract) snapshots the
+// Spans belong to the Charger they are opened on, like charges: a span
+// opened on a QueryView snapshots the view's private counters and is
+// buffered on the view, giving exact per-query phase deltas; a span
+// opened on the Tracker (builds, updates, flush merges — all under the
+// caller's exclusive-access contract — and direct queries) snapshots the
 // shared atomic counters and is delivered to the sink immediately.
 // Shared-path spans taken while other goroutines are charging I/Os
 // concurrently are data-race-free but attribute the interleaved charges
@@ -100,24 +100,17 @@ type SpanMark struct {
 	reads, writes, hits int64
 	depth               int32
 	active              bool
-	shared              bool
 }
 
 // Active reports whether the mark was taken with tracing enabled.
 func (m SpanMark) Active() bool { return m.active }
 
-// BeginSpan opens a span on the calling goroutine and returns its mark.
-// With no sink installed (or a nil tracker) it returns an inactive mark
-// at the cost of one atomic load. Spans must be properly nested per
-// goroutine and closed by EndSpan before the enclosing query view ends.
+// BeginSpan opens a shared-path span and returns its mark. With no sink
+// installed (or a nil tracker) it returns an inactive mark at the cost of
+// one atomic load. Shared-path spans must be properly nested.
 func (t *Tracker) BeginSpan() SpanMark {
 	if t == nil || t.sink.Load() == nil {
 		return SpanMark{}
-	}
-	if v := t.currentView(); v != nil {
-		m := SpanMark{reads: v.reads, writes: v.writes, hits: v.hits, depth: v.spanDepth, active: true}
-		v.spanDepth++
-		return m
 	}
 	return SpanMark{
 		reads:  t.reads.Load(),
@@ -125,34 +118,14 @@ func (t *Tracker) BeginSpan() SpanMark {
 		hits:   t.hits.Load(),
 		depth:  t.spanDepth.Add(1) - 1,
 		active: true,
-		shared: true,
 	}
 }
 
-// EndSpan closes a span: it computes the counter deltas since the mark
-// and either buffers the event on the goroutine's query view (delivered
-// as a batch by QueryView.End) or, on the shared path, delivers it to the
-// sink immediately. Inactive marks (tracing off, nil tracker) no-op.
+// EndSpan closes a shared-path span: it computes the shared counters'
+// deltas since the mark and delivers the event to the sink immediately.
+// Inactive marks (tracing off, nil tracker) no-op.
 func (t *Tracker) EndSpan(m SpanMark, phase string, level int, arg int64) {
 	if t == nil || !m.active {
-		return
-	}
-	if !m.shared {
-		v := t.currentView()
-		if v == nil {
-			return // view ended with the span still open; drop it
-		}
-		v.spanDepth--
-		ev := TraceEvent{
-			Phase: phase, Level: level, Arg: arg, Depth: int(m.depth),
-			Reads: v.reads - m.reads, Writes: v.writes - m.writes, Hits: v.hits - m.hits,
-		}
-		if ev.Depth == 0 {
-			v.spanReads += ev.Reads
-			v.spanWrites += ev.Writes
-			v.spanHits += ev.Hits
-		}
-		v.trace = append(v.trace, ev)
 		return
 	}
 	t.spanDepth.Add(-1)
@@ -166,4 +139,35 @@ func (t *Tracker) EndSpan(m SpanMark, phase string, level int, arg int64) {
 		Writes: t.writes.Load() - m.writes,
 		Hits:   t.hits.Load() - m.hits,
 	})
+}
+
+// BeginSpan opens a span on the view and returns its mark; without a
+// sink on the tracker the mark is inactive. Spans must be properly nested
+// and closed by EndSpan before the view ends.
+func (v *QueryView) BeginSpan() SpanMark {
+	if v.t.sink.Load() == nil {
+		return SpanMark{}
+	}
+	m := SpanMark{reads: v.reads, writes: v.writes, hits: v.hits, depth: v.spanDepth, active: true}
+	v.spanDepth++
+	return m
+}
+
+// EndSpan closes a span on the view: the counter deltas since the mark
+// are buffered on the view and delivered as one batch by End.
+func (v *QueryView) EndSpan(m SpanMark, phase string, level int, arg int64) {
+	if !m.active {
+		return
+	}
+	v.spanDepth--
+	ev := TraceEvent{
+		Phase: phase, Level: level, Arg: arg, Depth: int(m.depth),
+		Reads: v.reads - m.reads, Writes: v.writes - m.writes, Hits: v.hits - m.hits,
+	}
+	if ev.Depth == 0 {
+		v.spanReads += ev.Reads
+		v.spanWrites += ev.Writes
+		v.spanHits += ev.Hits
+	}
+	v.trace = append(v.trace, ev)
 }

@@ -49,14 +49,14 @@ func TestSpanInsideViewAttributesExactDeltas(t *testing.T) {
 	tr.SetTraceSink(sink)
 
 	v := tr.BeginQuery()
-	m := tr.BeginSpan()
-	tr.Read(ids[0])
-	tr.Read(ids[1])
-	inner := tr.BeginSpan()
-	tr.Read(ids[0]) // private-cache hit? cache holds ids[0], ids[1]; MemBlocks=2 -> hit
-	tr.EndSpan(inner, "test.inner", 3, 7)
-	tr.EndSpan(m, "test.outer", 0, 1)
-	tr.Read(ids[2]) // outside any span -> residual
+	m := v.BeginSpan()
+	v.Read(ids[0])
+	v.Read(ids[1])
+	inner := v.BeginSpan()
+	v.Read(ids[0]) // private-cache hit? cache holds ids[0], ids[1]; MemBlocks=2 -> hit
+	v.EndSpan(inner, "test.inner", 3, 7)
+	v.EndSpan(m, "test.outer", 0, 1)
+	v.Read(ids[2]) // outside any span -> residual
 	st := v.End()
 
 	evs := v.Trace()
@@ -113,9 +113,9 @@ func TestTraceDisabledByDefaultAndRemovable(t *testing.T) {
 	}
 	id := tr.Alloc()
 	v := tr.BeginQuery()
-	m := tr.BeginSpan()
-	tr.Read(id)
-	tr.EndSpan(m, "test.off", 0, 0)
+	m := v.BeginSpan()
+	v.Read(id)
+	v.EndSpan(m, "test.off", 0, 0)
 	v.End()
 	if len(v.Trace()) != 0 {
 		t.Fatalf("events recorded with tracing off: %+v", v.Trace())
@@ -151,13 +151,17 @@ func TestNilTrackerSpansNoop(t *testing.T) {
 func TestSpanOffPathZeroAlloc(t *testing.T) {
 	tr := NewTracker(DefaultConfig())
 	id := tr.Alloc()
-	allocs := testing.AllocsPerRun(1000, func() {
-		m := tr.BeginSpan()
-		tr.Read(id)
-		tr.EndSpan(m, "test.hot", 0, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("nil-sink span path allocates %.1f allocs/op, want 0", allocs)
+	v := tr.BeginQuery()
+	defer v.End()
+	for _, c := range []Charger{tr, v} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			m := c.BeginSpan()
+			c.Read(id)
+			c.EndSpan(m, "test.hot", 0, 0)
+		})
+		if allocs != 0 {
+			t.Fatalf("nil-sink span path on %T allocates %.1f allocs/op, want 0", c, allocs)
+		}
 	}
 }
 
@@ -177,11 +181,11 @@ func TestConcurrentViewTracesStayIsolated(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			v := tr.BeginQuery()
-			m := tr.BeginSpan()
+			m := v.BeginSpan()
 			for i := 0; i < 16; i++ {
-				tr.Read(ids[(w*16+i)%len(ids)])
+				v.Read(ids[(w*16+i)%len(ids)])
 			}
-			tr.EndSpan(m, "test.q", w, int64(w))
+			v.EndSpan(m, "test.q", w, int64(w))
 			st := v.End()
 			r, wr, h := sumDepth0(v.Trace())
 			if r != st.Reads || wr != st.Writes || h != st.Hits {

@@ -9,22 +9,20 @@ import "time"
 // End, which merges the counters into the tracker-wide totals atomically
 // and returns the query's own Stats delta.
 //
-// While the view is active, every charge issued by the registering
-// goroutine (Read, Write, ReadRun, PathCost, ScanCost) is routed to the
-// view. Because the private cache starts cold and is never shared, a
-// query's I/O count is a deterministic function of the query alone —
-// identical whether queries run serially or in parallel — which is what
-// lets concurrent measurements still validate the paper's cold-cache
-// bounds.
+// A QueryView is a Charger: the query is handed the view and charges it
+// directly (Read, Write, ReadRun, PathCost, ScanCost, and spans). Because
+// the private cache starts cold and is never shared, a query's I/O count
+// is a deterministic function of the query alone — identical whether
+// queries run serially or in parallel — which is what lets concurrent
+// measurements still validate the paper's cold-cache bounds.
 //
-// Charges are routed by goroutine identity, so the goroutine that calls
-// BeginQuery must be the one executing the query, the query must not spawn
-// internal goroutines, and End must be called from that same goroutine.
-// Allocation (Alloc, AllocRun, Free, FreeRun) mutates the structure and
-// panics while a view is active on the calling goroutine.
+// One view serves one query: its counters are not synchronized, so it
+// must not be charged from two goroutines at once. Any goroutine may
+// charge it, and any number of views may be open at once, on one
+// goroutine or many. While a view is open, the tracker's structural
+// mutators (Alloc, AllocRun, Free, ReleaseBlocks, SortCost) panic.
 type QueryView struct {
 	t     *Tracker
-	gid   uint64
 	cache blockCache
 	// buf is the view's private payload scratch when the tracker has a
 	// physical store: view misses perform their own physical reads, so
@@ -50,20 +48,14 @@ type QueryView struct {
 	ended bool
 }
 
-// BeginQuery registers a fresh, cold QueryView for the calling goroutine
-// and returns it. Charges from this goroutine are routed to the view until
-// End is called. It panics if this goroutine already holds an active view
-// on this tracker: queries do not nest.
+// BeginQuery opens a fresh, cold QueryView on the tracker. The caller
+// passes the view to the query it measures and calls End when it is done.
 func (t *Tracker) BeginQuery() *QueryView {
-	gid := goid()
-	v := &QueryView{t: t, gid: gid, cache: newBlockCache(t.cfg.Policy, t.cfg.MemBlocks, &t.cacheCtr)}
+	v := &QueryView{t: t, cache: newBlockCache(t.cfg.Policy, t.cfg.MemBlocks, &t.cacheCtr)}
 	if t.store != nil {
 		v.buf = make([]byte, t.store.PayloadBytes())
 	}
-	if _, loaded := t.views.LoadOrStore(gid, v); loaded {
-		panic("em: BeginQuery: a query view is already active on this goroutine")
-	}
-	t.nviews.Add(1)
+	t.open.Add(1)
 	return v
 }
 
@@ -78,7 +70,7 @@ func (v *QueryView) Stats() Stats {
 	}
 }
 
-// End deregisters the view, merges its counters into the tracker-wide
+// End closes the view, merges its counters into the tracker-wide
 // totals with atomic adds, and returns the view's final Stats. Calling End
 // again is a no-op that returns the same Stats, so it is safe to defer.
 //
@@ -106,8 +98,7 @@ func (v *QueryView) End() Stats {
 		}
 		box.s.QueryTrace(v.trace, st)
 	}
-	v.t.views.Delete(v.gid)
-	v.t.nviews.Add(-1)
+	v.t.open.Add(-1)
 	v.t.reads.Add(v.reads)
 	v.t.writes.Add(v.writes)
 	v.t.hits.Add(v.hits)
@@ -120,9 +111,12 @@ func (v *QueryView) End() Stats {
 // is owned by the view; callers must copy it to retain it.
 func (v *QueryView) Trace() []TraceEvent { return v.trace }
 
-// read charges one block read against the private cache; a miss with a
+// Read charges one block read against the private cache; a miss with a
 // physical store attached additionally fetches and verifies the block.
-func (v *QueryView) read(id BlockID) {
+func (v *QueryView) Read(id BlockID) {
+	if id == 0 {
+		panic("em: read of invalid block 0")
+	}
 	if v.cache.touch(id) {
 		v.hits++
 		v.checkLimits()
@@ -133,8 +127,11 @@ func (v *QueryView) read(id BlockID) {
 	v.checkLimits()
 }
 
-// write charges one block write and makes the block resident privately.
-func (v *QueryView) write(id BlockID) {
+// Write charges one block write and makes the block resident privately.
+func (v *QueryView) Write(id BlockID) {
+	if id == 0 {
+		panic("em: write of invalid block 0")
+	}
 	v.cache.touch(id)
 	v.writes++
 	if v.buf != nil {
@@ -144,11 +141,14 @@ func (v *QueryView) write(id BlockID) {
 	v.checkLimits()
 }
 
-// readRun mirrors Tracker.ReadRun against the private cache.
-func (v *QueryView) readRun(id BlockID, n int) {
+// ReadRun mirrors Tracker.ReadRun against the private cache.
+func (v *QueryView) ReadRun(id BlockID, n int) {
+	if n <= 0 {
+		return
+	}
 	if n <= v.t.cfg.MemBlocks {
 		for i := 0; i < n; i++ {
-			v.read(id + BlockID(i))
+			v.Read(id + BlockID(i))
 		}
 		return
 	}
@@ -159,7 +159,21 @@ func (v *QueryView) readRun(id BlockID, n int) {
 	v.checkLimits()
 }
 
-// chargeReads mirrors Tracker.chargeReads for view-routed cost-level
+// PathCost mirrors Tracker.PathCost on the view's counters.
+func (v *QueryView) PathCost(nodes int) {
+	if nodes > 0 {
+		v.addReads(pathReads(nodes, v.t.cfg.B))
+	}
+}
+
+// ScanCost mirrors Tracker.ScanCost on the view's counters.
+func (v *QueryView) ScanCost(nItems int) {
+	if nItems > 0 {
+		v.addReads(scanReads(nItems, v.t.cfg.B))
+	}
+}
+
+// chargeReads mirrors Tracker.chargeReads for the view's cost-level
 // charges: n physical stand-in reads against the store's fixed region.
 func (v *QueryView) chargeReads(n int64) {
 	if v.buf == nil {

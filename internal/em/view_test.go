@@ -12,9 +12,9 @@ func TestQueryViewIsolationAndMerge(t *testing.T) {
 	tr.DropCache()
 
 	v := tr.BeginQuery()
-	tr.Read(id)
-	tr.Read(id) // second touch hits the view's private cache
-	tr.ScanCost(tr.B())
+	v.Read(id)
+	v.Read(id) // second touch hits the view's private cache
+	v.ScanCost(tr.B())
 	if got := tr.Stats(); got.Reads != 0 || got.Hits != 0 {
 		t.Fatalf("in-flight view leaked into tracker stats: %+v", got)
 	}
@@ -37,7 +37,7 @@ func TestQueryViewStartsCold(t *testing.T) {
 
 	// The shared cache is warm (Alloc touched id), but a view must not be.
 	v := tr.BeginQuery()
-	tr.Read(id)
+	v.Read(id)
 	if st := v.End(); st.Reads != 1 || st.Hits != 0 {
 		t.Fatalf("view stats = %+v, want one cold read", st)
 	}
@@ -49,31 +49,35 @@ func TestQueryViewStartsCold(t *testing.T) {
 	}
 }
 
-func TestQueryViewRoutesByGoroutine(t *testing.T) {
+// TestQueryViewChargedFromAnotherGoroutine pins the explicit handle: a
+// view collects the charges made on it whichever goroutine makes them,
+// and a concurrent tr.Read lands on the shared counters, not the view.
+func TestQueryViewChargedFromAnotherGoroutine(t *testing.T) {
 	tr := NewTracker(DefaultConfig())
-	id := tr.Alloc()
+	a, b := tr.Alloc(), tr.Alloc()
 	tr.ResetCounters()
 	tr.DropCache()
 
-	// A view on another goroutine must not capture this goroutine's charges.
-	started := make(chan *QueryView)
-	release := make(chan struct{})
-	done := make(chan Stats)
+	v := tr.BeginQuery()
+	var wg sync.WaitGroup
+	wg.Add(2)
 	go func() {
-		v := tr.BeginQuery()
-		started <- v
-		<-release
-		done <- v.End()
+		defer wg.Done()
+		v.Read(a)
+		v.Read(a)
+		v.PathCost(1)
 	}()
-	<-started
-	tr.Read(id) // charged to the shared path, not the other goroutine's view
-	close(release)
-	st := <-done
-	if st.Reads != 0 || st.Hits != 0 {
-		t.Fatalf("idle view accumulated %+v", st)
+	go func() {
+		defer wg.Done()
+		tr.Read(b)
+	}()
+	wg.Wait()
+	st := v.End()
+	if st.Reads != 2 || st.Hits != 1 {
+		t.Fatalf("view stats = %+v, want Reads=2 Hits=1", st)
 	}
-	if got := tr.Stats(); got.Reads != 1 {
-		t.Fatalf("shared stats = %+v, want Reads=1", got)
+	if got := tr.Stats(); got.Reads != 1+st.Reads || got.Hits != st.Hits {
+		t.Fatalf("tracker stats = %+v, want the shared read plus the view's %+v", got, st)
 	}
 }
 
@@ -85,10 +89,10 @@ func TestQueryViewDeterministicUnderConcurrency(t *testing.T) {
 	query := func() Stats {
 		v := tr.BeginQuery()
 		for i := 0; i < 16; i++ {
-			tr.Read(base + BlockID(i%4))
+			v.Read(base + BlockID(i%4))
 		}
-		tr.PathCost(9)
-		tr.ScanCost(20)
+		v.PathCost(9)
+		v.ScanCost(20)
 		return v.End()
 	}
 
@@ -119,16 +123,28 @@ func TestQueryViewDeterministicUnderConcurrency(t *testing.T) {
 	}
 }
 
-func TestBeginQueryDoesNotNest(t *testing.T) {
+// TestViewsOnOneGoroutineStayIndependent: two views open at once on one
+// goroutine each keep their own cold cache and counters.
+func TestViewsOnOneGoroutineStayIndependent(t *testing.T) {
 	tr := NewTracker(DefaultConfig())
-	v := tr.BeginQuery()
-	defer v.End()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nested BeginQuery did not panic")
-		}
-	}()
-	tr.BeginQuery()
+	id := tr.Alloc()
+	tr.ResetCounters()
+
+	v1, v2 := tr.BeginQuery(), tr.BeginQuery()
+	v1.Read(id)
+	v1.Read(id)
+	v2.Read(id)
+	v2.ScanCost(3 * tr.B())
+	st1, st2 := v1.End(), v2.End()
+	if st1.Reads != 1 || st1.Hits != 1 {
+		t.Fatalf("first view stats = %+v, want Reads=1 Hits=1", st1)
+	}
+	if st2.Reads != 4 || st2.Hits != 0 {
+		t.Fatalf("second view stats = %+v, want Reads=4 Hits=0", st2)
+	}
+	if got := tr.Stats(); got.Reads != 5 || got.Hits != 1 {
+		t.Fatalf("merged tracker stats = %+v, want Reads=5 Hits=1", got)
+	}
 }
 
 func TestAllocPanicsInsideView(t *testing.T) {
@@ -143,14 +159,33 @@ func TestAllocPanicsInsideView(t *testing.T) {
 	tr.Alloc()
 }
 
-func TestGoidStableAndDistinct(t *testing.T) {
-	a, b := goid(), goid()
-	if a != b {
-		t.Fatalf("goid not stable on one goroutine: %d vs %d", a, b)
-	}
-	ch := make(chan uint64)
-	go func() { ch <- goid() }()
-	if other := <-ch; other == a {
-		t.Fatalf("distinct goroutines returned the same id %d", a)
+// TestAllocAllowedAfterViewsEnd: the mutation guard counts open views,
+// so it lifts once the last one ends.
+func TestAllocAllowedAfterViewsEnd(t *testing.T) {
+	tr := NewTracker(DefaultConfig())
+	v1, v2 := tr.BeginQuery(), tr.BeginQuery()
+	v1.End()
+	v1.End() // a second End must not release the guard twice
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Alloc with one view still open did not panic")
+			}
+		}()
+		tr.Alloc()
+	}()
+	v2.End()
+	tr.Alloc()
+}
+
+// TestSnapshotCostAllowedInsideView: a snapshot may be taken beside live
+// queries, so SnapshotCost is exempt from the mutation guard.
+func TestSnapshotCostAllowedInsideView(t *testing.T) {
+	tr := NewTracker(DefaultConfig())
+	v := tr.BeginQuery()
+	defer v.End()
+	tr.SnapshotCost(8 * int64(tr.B()))
+	if got := tr.Stats(); got.Writes != 1 {
+		t.Fatalf("snapshot charged %+v, want one write", got)
 	}
 }

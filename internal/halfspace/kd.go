@@ -257,13 +257,13 @@ func selectKth(items []core.Item[PtN], k, dim int) {
 func (t *KDTree) N() int { return t.n }
 
 // ReportAbove implements core.Prioritized[Halfspace, PtN].
-func (t *KDTree) ReportAbove(q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
-	t.ReportAboveBox(q, tau, emit)
+func (t *KDTree) ReportAbove(c em.Charger, q Halfspace, tau float64, emit func(core.Item[PtN]) bool) {
+	t.ReportAboveBox(c, q, tau, emit)
 }
 
 // ReportAboveBox answers a prioritized query for any box-classifiable
 // predicate region (halfspaces, orthogonal boxes, balls, ...).
-func (t *KDTree) ReportAboveBox(q BoxQuery, tau float64, emit func(core.Item[PtN]) bool) {
+func (t *KDTree) ReportAboveBox(c em.Charger, q BoxQuery, tau float64, emit func(core.Item[PtN]) bool) {
 	// visited is a per-query local so concurrent queries never share state.
 	var visited int64
 	emitted := 0
@@ -276,8 +276,8 @@ func (t *KDTree) ReportAboveBox(q BoxQuery, tau float64, emit func(core.Item[PtN
 			if search < 0 {
 				search = 0
 			}
-			t.tracker.PathCost(search)
-			t.tracker.ScanCost(emitted)
+			c.PathCost(search)
+			c.ScanCost(emitted)
 		}
 	}()
 	wrapped := func(it core.Item[PtN]) bool {
@@ -329,18 +329,18 @@ func (t *KDTree) reportSubtree(nd *kdnode, tau float64, emit func(core.Item[PtN]
 
 // MaxItem implements core.Max[Halfspace, PtN] by branch-and-bound on the
 // max-weight augmentation.
-func (t *KDTree) MaxItem(q Halfspace) (core.Item[PtN], bool) {
-	return t.MaxItemBox(q)
+func (t *KDTree) MaxItem(c em.Charger, q Halfspace) (core.Item[PtN], bool) {
+	return t.MaxItemBox(c, q)
 }
 
 // MaxItemBox answers a max query for any box-classifiable predicate.
-func (t *KDTree) MaxItemBox(q BoxQuery) (core.Item[PtN], bool) {
+func (t *KDTree) MaxItemBox(c em.Charger, q BoxQuery) (core.Item[PtN], bool) {
 	var visited int64
 	best := core.Item[PtN]{Weight: math.Inf(-1)}
 	found := false
 	t.maxSearch(t.root, q, &best, &found, &visited)
 	if t.tracker != nil {
-		t.tracker.PathCost(int(visited))
+		c.PathCost(int(visited))
 	}
 	return best, found
 }

@@ -108,7 +108,7 @@ func TestKDTiedCoordinatesAgainstOracle(t *testing.T) {
 		q.C = g.Float64()*6 - 1
 		tau := g.Float64() * 1.2e6
 		var got []core.Item[PtN]
-		kd.ReportAbove(q, tau, func(it core.Item[PtN]) bool {
+		kd.ReportAbove(noIO, q, tau, func(it core.Item[PtN]) bool {
 			got = append(got, it)
 			return true
 		})
@@ -123,7 +123,7 @@ func TestKDTiedCoordinatesAgainstOracle(t *testing.T) {
 			}
 		}
 		all := oracleAboveN(items, q, math.Inf(-1))
-		gm, ok := kd.MaxItem(q)
+		gm, ok := kd.MaxItem(noIO, q)
 		if ok != (len(all) > 0) || (ok && gm.Weight != all[0].Weight) {
 			t.Fatalf("q=%+v: max (%v, %v), oracle %d items", q, gm.Weight, ok, len(all))
 		}

@@ -60,12 +60,12 @@ func sameSkeleton(a, b *tnode[Interval]) error {
 // answers renders ReportAbove, MaxItem and Count at q as one string.
 func answers(t *Tree[Interval], q, tau float64) string {
 	var out []float64
-	t.ReportAbove(q, tau, func(it core.Item[Interval]) bool {
+	t.ReportAbove(noIO, q, tau, func(it core.Item[Interval]) bool {
 		out = append(out, it.Weight)
 		return true
 	})
-	m, ok := t.MaxItem(q)
-	return fmt.Sprint(out, m, ok, t.Count(q))
+	m, ok := t.MaxItem(noIO, q)
+	return fmt.Sprint(out, m, ok, t.Count(noIO, q))
 }
 
 // TestBulkBuildMatchesIncremental: the bulk build places every interval
@@ -132,6 +132,6 @@ func TestBulkBuildMatchesIncremental(t *testing.T) {
 
 func reportCount(t *Tree[Interval], q, tau float64) int {
 	c := 0
-	t.ReportAbove(q, tau, func(core.Item[Interval]) bool { c++; return true })
+	t.ReportAbove(noIO, q, tau, func(core.Item[Interval]) bool { c++; return true })
 	return c
 }

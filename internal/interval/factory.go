@@ -84,4 +84,4 @@ type countAdapter[V Spanned] struct {
 	t *Tree[V]
 }
 
-func (c countAdapter[V]) Count(q float64) int { return c.t.Count(q) }
+func (a countAdapter[V]) Count(c em.Charger, q float64) int { return a.t.Count(c, q) }

@@ -273,10 +273,10 @@ func (t *Tree[V]) Len() int { return len(t.loc) }
 
 // ReportAbove implements core.Prioritized: emit every item containing q
 // with weight ≥ tau.
-func (t *Tree[V]) ReportAbove(q float64, tau float64, emit func(core.Item[V]) bool) {
+func (t *Tree[V]) ReportAbove(c em.Charger, q float64, tau float64, emit func(core.Item[V]) bool) {
 	emitted, pathNodes, restScanned := 0, 0, 0
 	defer func() {
-		t.chargeQuery(pathNodes, restScanned, emitted)
+		t.chargeQuery(c, pathNodes, restScanned, emitted)
 	}()
 
 	visit := func(k treap.Key, v V) bool {
@@ -314,7 +314,7 @@ func (t *Tree[V]) ReportAbove(q float64, tau float64, emit func(core.Item[V]) bo
 }
 
 // MaxItem implements core.Max: the heaviest item containing q.
-func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
+func (t *Tree[V]) MaxItem(c em.Charger, q float64) (core.Item[V], bool) {
 	best := core.Item[V]{Weight: math.Inf(-1)}
 	found := false
 	pathNodes, restScanned := 0, 0
@@ -352,7 +352,7 @@ func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
 			nd = nil
 		}
 	}
-	t.chargeQuery(pathNodes, restScanned, 0)
+	t.chargeQuery(c, pathNodes, restScanned, 0)
 	return best, found
 }
 
@@ -361,7 +361,7 @@ func (t *Tree[V]) MaxItem(q float64) (core.Item[V], bool) {
 // structure role in the Rahul–Janardan counting reduction (paper §2).
 // For interval stabbing exact counting is easy, which the paper notes
 // only improves that baseline.
-func (t *Tree[V]) Count(q float64) int {
+func (t *Tree[V]) Count(c em.Charger, q float64) int {
 	total, pathNodes := 0, 0
 	nd := t.root
 	for nd != nil {
@@ -384,7 +384,7 @@ func (t *Tree[V]) Count(q float64) int {
 		}
 	}
 	if t.tracker != nil {
-		t.tracker.PathCost(pathNodes)
+		c.PathCost(pathNodes)
 	}
 	return total
 }
@@ -465,7 +465,7 @@ func (t *Tree[V]) collect() []core.Item[V] {
 	return items
 }
 
-func (t *Tree[V]) chargeQuery(pathNodes, restScanned, emitted int) {
+func (t *Tree[V]) chargeQuery(c em.Charger, pathNodes, restScanned, emitted int) {
 	if t.tracker == nil {
 		return
 	}
@@ -473,8 +473,8 @@ func (t *Tree[V]) chargeQuery(pathNodes, restScanned, emitted int) {
 	// (O(log_B n) after blocking) plus the O(t/B) output term. The treap
 	// walks are the RAM work realizing that contract; see the package
 	// comment.
-	t.tracker.PathCost(pathNodes)
-	t.tracker.ScanCost(restScanned + emitted)
+	c.PathCost(pathNodes)
+	c.ScanCost(restScanned + emitted)
 }
 
 func (t *Tree[V]) chargeUpdate() {

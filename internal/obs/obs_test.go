@@ -215,6 +215,25 @@ func TestSlowQueryLogRingAndWriter(t *testing.T) {
 	}
 }
 
+// TestSlowQueryLogConcurrentRecord: batch workers record at once, and w
+// (a plain strings.Builder here) need not be safe for concurrent use.
+func TestSlowQueryLogConcurrentRecord(t *testing.T) {
+	var sb strings.Builder
+	l := NewSlowQueryLog(&sb, 0, 4)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			l.Record("iv", "q", time.Millisecond, em.Stats{Reads: 1}, nil, SlowMeta{})
+		}()
+	}
+	wg.Wait()
+	if got := strings.Count(sb.String(), "slow query"); got != 8 {
+		t.Fatalf("writer got %d entries, want 8", got)
+	}
+}
+
 func TestMetricsConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	qm := NewQueryMetrics(r, "iv")

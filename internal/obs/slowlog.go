@@ -72,7 +72,10 @@ func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats,
 	FormatTrace(&b, events)
 	entry := b.String()
 
+	// The write happens under the lock too: batch workers record
+	// concurrently, and w need not be safe for concurrent use.
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.total++
 	if len(l.ring) < cap(l.ring) {
 		l.ring = append(l.ring, entry)
@@ -80,11 +83,8 @@ func (l *SlowQueryLog) Record(index, query string, d time.Duration, st em.Stats,
 		l.ring[l.next] = entry
 		l.next = (l.next + 1) % cap(l.ring)
 	}
-	w := l.w
-	l.mu.Unlock()
-
-	if w != nil {
-		io.WriteString(w, entry)
+	if l.w != nil {
+		io.WriteString(l.w, entry)
 	}
 }
 

@@ -10,6 +10,10 @@ import (
 	"topk/internal/wrand"
 )
 
+// noIO is the charger for queries on structures built without a tracker;
+// such structures charge it nothing.
+var noIO = em.NewTracker(em.DefaultConfig())
+
 func genPoints(g *wrand.RNG, n, d int) []core.Item[halfspace.PtN] {
 	ws := g.UniqueFloats(n, 1e6)
 	items := make([]core.Item[halfspace.PtN], n)
@@ -77,7 +81,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 			tau := g.Float64() * 1.2e6
 
 			var got []core.Item[halfspace.PtN]
-			ix.ReportAbove(q, tau, func(it core.Item[halfspace.PtN]) bool {
+			ix.ReportAbove(noIO, q, tau, func(it core.Item[halfspace.PtN]) bool {
 				got = append(got, it)
 				return true
 			})
@@ -100,7 +104,7 @@ func TestIndexAgainstOracle(t *testing.T) {
 					t.Fatalf("d=%d: out-of-range emission %+v", d, it)
 				}
 			}
-			m, ok := ix.MaxItem(q)
+			m, ok := ix.MaxItem(noIO, q)
 			if ok != any || (ok && m.Weight != bestW) {
 				t.Fatalf("d=%d: max (%v,%v), want (%v,%v)", d, m.Weight, ok, bestW, any)
 			}
@@ -133,8 +137,8 @@ func TestIndexThroughReductions(t *testing.T) {
 		}
 		want := core.TopKOf(wrapW(ws), 12)
 		for name, topkFn := range map[string]func() []core.Item[halfspace.PtN]{
-			"expected":  func() []core.Item[halfspace.PtN] { return exp.TopK(q, 12) },
-			"worstcase": func() []core.Item[halfspace.PtN] { return wc.TopK(q, 12) },
+			"expected":  func() []core.Item[halfspace.PtN] { return exp.TopK(noIO, q, 12) },
+			"worstcase": func() []core.Item[halfspace.PtN] { return wc.TopK(noIO, q, 12) },
 		} {
 			got := topkFn()
 			if len(got) != len(want) {
@@ -165,11 +169,11 @@ func TestIndexValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Malformed queries return nothing rather than panicking.
-	if _, ok := ix.MaxItem(Box{Lo: []float64{5, 5}, Hi: []float64{1, 1}}); ok {
+	if _, ok := ix.MaxItem(noIO, Box{Lo: []float64{5, 5}, Hi: []float64{1, 1}}); ok {
 		t.Error("reversed box matched")
 	}
 	count := 0
-	ix.ReportAbove(Box{Lo: []float64{0}, Hi: []float64{1}}, 0, func(core.Item[halfspace.PtN]) bool {
+	ix.ReportAbove(noIO, Box{Lo: []float64{0}, Hi: []float64{1}}, 0, func(core.Item[halfspace.PtN]) bool {
 		count++
 		return true
 	})
@@ -198,7 +202,7 @@ func TestIOCharging(t *testing.T) {
 	tr.DropCache()
 	tr.ResetCounters()
 	count := 0
-	ix.ReportAbove(randBox(g, 2), math.Inf(-1), func(core.Item[halfspace.PtN]) bool {
+	ix.ReportAbove(tr, randBox(g, 2), math.Inf(-1), func(core.Item[halfspace.PtN]) bool {
 		count++
 		return true
 	})

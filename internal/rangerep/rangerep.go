@@ -85,23 +85,23 @@ func NewPoints(items []core.Item[float64], tracker *em.Tracker) (*Points, error)
 func (p *Points) Len() int { return p.tr.Len() }
 
 // ReportAbove implements core.Prioritized[Span, float64].
-func (p *Points) ReportAbove(q Span, tau float64, emit func(core.Item[float64]) bool) {
+func (p *Points) ReportAbove(c em.Charger, q Span, tau float64, emit func(core.Item[float64]) bool) {
 	emitted := 0
 	p.tr.RangeReportAbove(q.Lo, q.Hi, tau, func(k treap.Key, _ struct{}) bool {
 		emitted++
 		return emit(core.Item[float64]{Value: k.K, Weight: k.W})
 	})
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
-		p.tracker.ScanCost(emitted)
+		c.PathCost(2 * log2ceil(p.tr.Len()+2))
+		c.ScanCost(emitted)
 	}
 }
 
 // MaxItem implements core.Max[Span, float64].
-func (p *Points) MaxItem(q Span) (core.Item[float64], bool) {
+func (p *Points) MaxItem(c em.Charger, q Span) (core.Item[float64], bool) {
 	k, _, ok := p.tr.RangeMax(q.Lo, q.Hi)
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
+		c.PathCost(2 * log2ceil(p.tr.Len()+2))
 	}
 	if !ok {
 		return core.Item[float64]{}, false
@@ -111,9 +111,9 @@ func (p *Points) MaxItem(q Span) (core.Item[float64], bool) {
 
 // Count returns |q(D)| in O(log n), a conventional extra the 1D problem
 // supports exactly (most query algorithms in the literature use it).
-func (p *Points) Count(q Span) int {
+func (p *Points) Count(c em.Charger, q Span) int {
 	if p.tracker != nil {
-		p.tracker.PathCost(2 * log2ceil(p.tr.Len()+2))
+		c.PathCost(2 * log2ceil(p.tr.Len()+2))
 	}
 	return p.tr.RangeCount(q.Lo, q.Hi)
 }

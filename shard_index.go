@@ -2,10 +2,8 @@ package topk
 
 import (
 	"fmt"
-	"math"
 
 	"topk/internal/circular"
-	"topk/internal/core"
 	"topk/internal/dominance"
 	"topk/internal/enclosure"
 	"topk/internal/halfspace"
@@ -101,14 +99,7 @@ func (ix *ShardedRangeIndex[T]) Count(lo, hi float64) int {
 	q := rangerep.Span{Lo: lo, Hi: hi}
 	n := 0
 	for _, e := range ix.shards {
-		if p, ok := e.pri.(*rangerep.Points); ok {
-			n += p.Count(q)
-			continue
-		}
-		e.pri.ReportAbove(q, math.Inf(-1), func(core.Item[float64]) bool {
-			n++
-			return true
-		})
+		n += rangeCount(e, q)
 	}
 	return n
 }

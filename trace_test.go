@@ -361,6 +361,11 @@ func TestSingleQueryMetricsAndSlowLog(t *testing.T) {
 	if !strings.Contains(b.String(), "topk_slow_queries_total") {
 		t.Fatal("slow query counter missing from metrics")
 	}
+	// Each batch query counts exactly once, and the direct queries
+	// before it are not counted again.
+	if !strings.Contains(b.String(), `topk_queries_total{index="interval"} 13`) {
+		t.Fatalf("10 direct + 3 batch queries not counted as 13:\n%s", b.String())
+	}
 }
 
 func TestQueryStatsHitRate(t *testing.T) {
