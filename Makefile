@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-smoke bench-json bench-check bench-serve servebench-test experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet clean ci
+.PHONY: all build test race fuzz fuzz-smoke cover bench bench-parallel bench-smoke bench-json bench-check bench-serve servebench-test experiments validate examples serve-smoke snap-smoke disk-smoke load-smoke load-curve ingest-smoke cluster-smoke fmt fmt-check vet loc clean ci
 
 all: build vet test
 
@@ -386,6 +386,17 @@ cluster-smoke:
 	[ -n "$$hedged" ] && [ "$$hedged" -gt 0 ] || { echo "FAIL: topk_hedged_requests_total = '$$hedged' with a stopped node, want > 0"; exit 1; }; \
 	kill -CONT $$npid 2>/dev/null; \
 	echo "cluster-smoke: ok ($$hedged hedged shard requests)"
+
+# Go lines added, removed, and net against BASE (default HEAD~1), for
+# program files and _test.go files of the root module separately;
+# servebench/ is its own module and is left out. Counts the working tree,
+# so uncommitted edits count too (git add new files first).
+BASE ?= HEAD~1
+loc:
+	@git diff --no-renames --numstat $(BASE) -- '*.go' ':(exclude)servebench/' | awk ' \
+		{ kind = ($$3 ~ /_test\.go$$/) ? "test" : "program"; add[kind] += $$1; del[kind] += $$2 } \
+		END { for (i = 1; i <= 2; i++) { kind = (i == 1) ? "program" : "test"; \
+			printf "%-8s +%d -%d net %+d\n", kind, add[kind], del[kind], add[kind] - del[kind] } }'
 
 validate:
 	$(GO) run ./cmd/topk-validate

@@ -110,21 +110,6 @@ type server struct {
 	checkpoints  expvar.Int
 }
 
-// queryRequest is the /query body. Queries are problem-shaped; see
-// GET /problems for each problem's wire shape.
-type queryRequest struct {
-	Queries     []json.RawMessage `json:"queries"`
-	K           int               `json:"k"`
-	Parallelism int               `json:"parallelism"`
-	// BudgetIOs overrides the server's -io-budget for this request:
-	// > 0 sets a cap, < 0 disables the server default, 0 keeps it.
-	BudgetIOs int64 `json:"budget_ios,omitempty"`
-	// DeadlineMS overrides -deadline the same way.
-	DeadlineMS int64 `json:"deadline_ms,omitempty"`
-	// Degrade overrides -degrade-max when present.
-	Degrade *bool `json:"degrade,omitempty"`
-}
-
 // queryResult is one query's slice of the /query response.
 type queryResult struct {
 	Items []resultItem `json:"items"`
@@ -329,6 +314,9 @@ func buildServer(problem string, n, shards int, seed uint64, slowIOs int64, para
 		opts = append(opts, topk.WithDiskStore(diskDir))
 	}
 	if snapDir != "" {
+		if err := recoverCheckpoint(snapDir); err != nil {
+			return nil, fmt.Errorf("recovering snapshot %s: %w", snapDir, err)
+		}
 		if mf, err := topk.ReadManifest(snapDir); err == nil {
 			if mf.Problem != problem {
 				return nil, fmt.Errorf("snapshot %s holds a %q index, server was asked to serve %q", snapDir, mf.Problem, problem)
@@ -398,7 +386,7 @@ func (s *server) calibrateBudget(seed uint64) int64 {
 
 // queryCtx assembles one request's lifecycle limits from the server
 // defaults and the request's overrides.
-func (s *server) queryCtx(req queryRequest) topk.QueryCtx {
+func (s *server) queryCtx(req cluster.QueryRequest) topk.QueryCtx {
 	ctx := topk.QueryCtx{IOBudget: s.budget, DegradeToMax: s.degrade}
 	if req.BudgetIOs > 0 {
 		ctx.IOBudget = req.BudgetIOs
@@ -422,7 +410,9 @@ func (s *server) queryCtx(req queryRequest) topk.QueryCtx {
 
 // checkpoint snapshots the index into s.snapDir atomically: the snapshot
 // is written to a temporary sibling directory and renamed into place, so
-// a crash mid-write leaves the previous checkpoint intact. Safe to call
+// a crash mid-write leaves the previous checkpoint intact (a crash
+// between the two renames leaves it in s.snapDir.old, which
+// recoverCheckpoint moves back at the next boot). Safe to call
 // concurrently with queries (snapshotting only reads index state), but
 // checkpoints themselves are serialized.
 func (s *server) checkpoint() error {
@@ -452,6 +442,25 @@ func (s *server) checkpoint() error {
 	os.RemoveAll(old)
 	s.checkpoints.Add(1)
 	return nil
+}
+
+// recoverCheckpoint completes the rollback of a checkpoint that a crash
+// cut between its two renames: dir holds no manifest while dir.old
+// still holds the previous complete checkpoint. Moving dir.old back
+// makes this boot warm-start from it; otherwise the boot would build
+// cold and its first checkpoint would delete dir.old.
+func recoverCheckpoint(dir string) error {
+	if _, err := topk.ReadManifest(dir); !errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	old := dir + ".old"
+	if _, err := topk.ReadManifest(old); err != nil {
+		return nil
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		return err
+	}
+	return os.Rename(old, dir)
 }
 
 // handleSnapshot checkpoints on demand: POST /snapshot.
@@ -551,7 +560,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	seed := uint64(intParam("seed", 1, 1<<30))
 	s.ixMu.RLock()
 	qs := s.ix.GenQueries(n, seed)
-	res := s.ix.QueryBatchCtx(s.queryCtx(queryRequest{}), qs, k, 0)
+	res := s.ix.QueryBatchCtx(s.queryCtx(cluster.QueryRequest{}), qs, k, 0)
 	s.ixMu.RUnlock()
 	traces := make([]topk.NamedTrace, len(res))
 	for i, br := range res {
@@ -567,29 +576,11 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxQueryBody caps a /query body; a larger one is refused with 413.
-const maxQueryBody = 1 << 20
+const maxQueryBody = cluster.MaxQueryBody
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(req.Queries) == 0 || len(req.Queries) > 10000 {
-		http.Error(w, "need 1..10000 queries", http.StatusBadRequest)
-		return
-	}
-	if req.K <= 0 || req.K > 1000 {
-		http.Error(w, "need 1 <= k <= 1000", http.StatusBadRequest)
+	req, ok := cluster.DecodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	qs := make([]any, len(req.Queries))

@@ -5,8 +5,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"topk"
 )
 
 // paddedQuery is a valid /query body of exactly size bytes: the padding
@@ -68,5 +72,38 @@ func TestIngestBodyLimit(t *testing.T) {
 	var resp struct{ Inserted int }
 	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || rec.Code != http.StatusOK || resp.Inserted != 1 {
 		t.Fatalf("small ingest: status %d, inserted %d, err %v", rec.Code, resp.Inserted, err)
+	}
+}
+
+// TestCheckpointCrashBetweenRenames: a crash after checkpoint renamed
+// <dir> to <dir>.old but before it renamed the new snapshot in leaves
+// only <dir>.old. The next boot must warm-start from that checkpoint,
+// not build a fresh index whose first checkpoint deletes it.
+func TestCheckpointCrashBetweenRenames(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "snap")
+	s, err := buildServer("interval", 500, 1, 1, 0, 1, dir, "", 0, newRingWriter(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(dir, dir+".old"); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = buildServer("interval", 7, 1, 1, 0, 1, dir, "", 0, newRingWriter(8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !s.warmStart || s.ix.Len() != 500 {
+		t.Fatalf("boot after the crash: warmStart %v with %d items, want a warm start with 500", s.warmStart, s.ix.Len())
+	}
+	if err := s.checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	mf, err := topk.ReadManifest(dir)
+	if err != nil || mf.Items != 500 {
+		t.Fatalf("checkpoint after recovery: manifest %+v, err %v; want 500 items", mf, err)
 	}
 }

@@ -197,6 +197,9 @@ func (e *engine[Q, V, It]) init(items []It) error {
 // Len returns the number of live items.
 func (e *engine[Q, V, It]) Len() int { return e.n }
 
+// ShardLens reports a single engine as one partition holding every item.
+func (e *engine[Q, V, It]) ShardLens() []int { return []int{e.n} }
+
 // wrap rebuilds the exported item for a core query result.
 func (e *engine[Q, V, It]) wrap(ci core.Item[V]) It {
 	return e.p.fromCore(ci, e.data[ci.Weight])

@@ -245,6 +245,63 @@ func (e errReplica) QueryShard(context.Context, cluster.ShardRequest) (cluster.S
 	return cluster.ShardResponse{}, errors.New("connection refused (test)")
 }
 
+// scriptedReplica answers shard s of every request with per[s] for
+// each query — synthetic per-shard lifecycle results for the merge.
+type scriptedReplica struct {
+	cluster.Replica
+	per []cluster.ShardResult
+}
+
+func (r scriptedReplica) ID() string { return "scripted" }
+
+func (r scriptedReplica) QueryShard(_ context.Context, req cluster.ShardRequest) (cluster.ShardResponse, error) {
+	res := make([]cluster.ShardResult, len(req.Queries))
+	for i := range res {
+		res[i] = r.per[req.Shard]
+	}
+	return cluster.ShardResponse{Results: res}, nil
+}
+
+// TestClusterMergeErrFollowsOutcome: the coordinator reports the worst
+// per-shard outcome and the error of the first shard that ended with
+// it, never an error from a shard whose outcome lost.
+func TestClusterMergeErrFollowsOutcome(t *testing.T) {
+	ok := cluster.ShardResult{Items: []cluster.WireItem{{Weight: 9}, {Weight: 4}}, Outcome: "ok"}
+	budget := cluster.ShardResult{Outcome: "budget_exceeded", Error: "topk: I/O budget exceeded (charged 9 of 8 I/Os)"}
+	deadline := cluster.ShardResult{Outcome: "deadline_exceeded", Error: "topk: deadline exceeded (aborted after 3 I/Os)"}
+	degradedBy := func(err string) cluster.ShardResult {
+		return cluster.ShardResult{Items: []cluster.WireItem{{Weight: 8}}, Outcome: "degraded", Error: err}
+	}
+	for _, tc := range []struct {
+		name    string
+		per     []cluster.ShardResult
+		outcome string
+		err     string
+		items   int
+	}{
+		{"all ok", []cluster.ShardResult{ok, ok}, "ok", "", 2},
+		{"budget then deadline", []cluster.ShardResult{budget, deadline}, "deadline_exceeded", deadline.Error, 0},
+		{"degraded by deadline then budget", []cluster.ShardResult{degradedBy(deadline.Error), ok, budget}, "budget_exceeded", budget.Error, 0},
+		{"ok then degraded", []cluster.ShardResult{ok, degradedBy(budget.Error), degradedBy(deadline.Error)}, "degraded", budget.Error, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, err := cluster.New(cluster.Config{Shards: len(tc.per), HedgeDelay: time.Second},
+				[]cluster.Replica{scriptedReplica{per: tc.per}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := co.Query(context.Background(), []json.RawMessage{json.RawMessage("1")}, 2, cluster.QueryOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := res[0]; r.Outcome != tc.outcome || r.Error != tc.err || len(r.Items) != tc.items {
+				t.Fatalf("merged %q / %q / %d items, want %q / %q / %d items",
+					r.Outcome, r.Error, len(r.Items), tc.outcome, tc.err, tc.items)
+			}
+		})
+	}
+}
+
 // wrapReplica swaps node id's replica for the given wrapper.
 func wrapReplica(reps []cluster.Replica, id string, wrap func(cluster.Replica) cluster.Replica) []cluster.Replica {
 	out := make([]cluster.Replica, len(reps))

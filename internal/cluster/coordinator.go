@@ -78,7 +78,7 @@ type QueryOptions struct {
 }
 
 // Coordinator fans query batches out to replica groups and merges the
-// per-shard answers under the same rules as a single-process Sharded
+// per-shard answers under the same rules as a single-process sharded
 // index. Safe for concurrent use.
 type Coordinator struct {
 	cfg    Config
@@ -230,7 +230,7 @@ func remainingMS(dl time.Time) int64 {
 
 // Query answers one batch of wire-shaped queries across the cluster:
 // fan out to one replica per shard (hedging per shard as needed), then
-// merge per query under the single-process Sharded rules — full Lemma 2
+// merge per query under the single-process sharded rules — full Lemma 2
 // merge when every shard is OK, exact top-1 prefix when any shard
 // degraded, typed refusal when a shard aborted without the fallback,
 // and OutcomeUnavailable when a shard's whole replica group failed at
@@ -369,10 +369,10 @@ func (c *Coordinator) queryShard(ctx context.Context, req ShardRequest) (ShardRe
 }
 
 // merge combines per-shard responses into per-query results under the
-// same rules as Sharded.QueryBatchCtx, with one cluster-only addition:
-// a shard whose whole replica group failed makes its queries
-// OutcomeUnavailable — a typed refusal, never a silently partial
-// answer.
+// same rules as the root package's single-process sharded merge
+// (mergeShardResults), with one cluster-only addition: a shard whose
+// whole replica group failed makes its queries OutcomeUnavailable — a
+// typed refusal, never a silently partial answer.
 func (c *Coordinator) merge(queries []json.RawMessage, k int, per []ShardResponse, errs []error) []ShardResult {
 	var lost error
 	for _, err := range errs {
@@ -402,11 +402,10 @@ func (c *Coordinator) merge(queries []json.RawMessage, k int, per []ShardRespons
 			r.Writes += sr.Writes
 			r.Hits += sr.Hits
 			r.IOs += sr.IOs
-			if o, ok := topk.ParseOutcome(sr.Outcome); ok && o != topk.OutcomeOK && o > worst {
-				worst = o
-			}
-			if r.Error == "" {
-				r.Error = sr.Error
+			// The error rides with the outcome that wins, so a client
+			// reading Error sees why the reported Outcome happened.
+			if o, ok := topk.ParseOutcome(sr.Outcome); ok && o > worst {
+				worst, r.Error = o, sr.Error
 			}
 		}
 		items := shard.MergeDesc(lists, k, weightOf)

@@ -72,38 +72,60 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// maxQueryBody caps a /query body, as topk-serve does; a larger one is
-// refused with 413.
-const maxQueryBody = 1 << 20
+// QueryRequest is the POST /query body shared by topk-serve and the
+// coordinator. Queries are problem-shaped; see GET /problems for each
+// problem's wire shape.
+type QueryRequest struct {
+	Queries []json.RawMessage `json:"queries"`
+	K       int               `json:"k"`
+	// Parallelism sets topk-serve's batch workers (0 = its default); the
+	// coordinator accepts it for parity, and its nodes pick their own.
+	Parallelism int `json:"parallelism"`
+	// BudgetIOs overrides the server's default I/O budget for this
+	// request: > 0 sets a cap, < 0 disables the default, 0 keeps it.
+	BudgetIOs int64 `json:"budget_ios,omitempty"`
+	// DeadlineMS overrides the default deadline the same way.
+	DeadlineMS int64 `json:"deadline_ms,omitempty"`
+	// Degrade overrides the default top-1 fallback when present.
+	Degrade *bool `json:"degrade,omitempty"`
+}
 
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+// MaxQueryBody caps a /query body; a larger one is refused with 413.
+const MaxQueryBody = 1 << 20
+
+// DecodeQueryRequest reads and validates one /query request: POST only,
+// a body of at most MaxQueryBody bytes, 1..10000 queries, and
+// 1 <= k <= 1000. On failure it has already written the error response
+// (405, 413, or 400) and returns false.
+func DecodeQueryRequest(w http.ResponseWriter, r *http.Request) (QueryRequest, bool) {
+	var req QueryRequest
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
+		return req, false
 	}
-	var req struct {
-		Queries     []json.RawMessage `json:"queries"`
-		K           int               `json:"k"`
-		Parallelism int               `json:"parallelism"` // accepted for parity; nodes pick their own
-		BudgetIOs   int64             `json:"budget_ios,omitempty"`
-		DeadlineMS  int64             `json:"deadline_ms,omitempty"`
-		Degrade     *bool             `json:"degrade,omitempty"`
-	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQueryBody)).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxQueryBody)).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("request body over %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-			return
+			return req, false
 		}
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
+		return req, false
 	}
 	if len(req.Queries) == 0 || len(req.Queries) > 10000 {
 		http.Error(w, "need 1..10000 queries", http.StatusBadRequest)
-		return
+		return req, false
 	}
 	if req.K <= 0 || req.K > 1000 {
 		http.Error(w, "need 1 <= k <= 1000", http.StatusBadRequest)
+		return req, false
+	}
+	return req, true
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, ok := DecodeQueryRequest(w, r)
+	if !ok {
 		return
 	}
 	start := time.Now()

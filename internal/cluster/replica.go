@@ -9,7 +9,7 @@
 // process boundary:
 //
 //  1. Partition exactness (Lemma 2): every shard is the same engine a
-//     single-process Sharded index would hold, restored from the same
+//     single-process sharded index would hold, restored from the same
 //     per-shard snapshot file, so the coordinator's k-way merge of
 //     per-shard top-k core-sets is byte-identical to the one-process
 //     answer — the conformance suite asserts this for every registered

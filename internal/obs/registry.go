@@ -148,9 +148,14 @@ func (r *Registry) NewLogHistogram(name, help string, scale float64, labels ...L
 // line per series — histograms expand to cumulative _bucket lines plus
 // _sum and _count.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	// Copy each family by value under the lock: register appends to a
+	// family's series concurrently, and the copied slice header fixes
+	// which series this export reads.
 	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 
 	var b strings.Builder

@@ -92,7 +92,7 @@ func newIndexObs(name string, o Options, tracker *em.Tracker) *indexObs {
 	ob := &indexObs{name: name, shard: o.shardLabel, tracker: tracker, tracing: o.tracing}
 	var sink em.TraceSink = nopSink{}
 	if o.metrics {
-		// A shard engine registers its series in the Sharded index's
+		// A shard engine registers its series in the sharded index's
 		// shared registry under a shard label; a standalone engine owns
 		// its registry outright.
 		ob.reg = o.obsReg

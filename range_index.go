@@ -92,11 +92,7 @@ func (ix *RangeIndex[T]) Max(lo, hi float64) (PointItem1[T], bool) {
 // reduction's black box supports counting (all but FullScan), otherwise by
 // enumeration.
 func (ix *RangeIndex[T]) Count(lo, hi float64) int {
-	return rangeCount(ix.eng, rangerep.Span{Lo: lo, Hi: hi})
-}
-
-// rangeCount counts one engine's points in q on its shared tracker.
-func rangeCount[T any](e *engine[rangerep.Span, float64, PointItem1[T]], q rangerep.Span) int {
+	e, q := ix.eng, rangerep.Span{Lo: lo, Hi: hi}
 	if p, ok := e.pri.(*rangerep.Points); ok {
 		return p.Count(e.tracker, q)
 	}

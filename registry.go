@@ -26,7 +26,7 @@ import (
 // (conformance_test.go, snapshot_test.go) — iterate RegisteredProblems
 // instead of hand-maintaining per-problem switches. Adding a ninth
 // problem to the library is a descriptor (engine.go), a thin typed
-// facade, and one ProblemSpec here; the serving surface, persistence,
+// facade, and one newSpec call here; the serving surface, persistence,
 // the registry benchmark, and the conformance tests pick it up with no
 // further edits.
 
@@ -155,7 +155,7 @@ type ProblemSpec struct {
 	Build func(n int, seed uint64, opts ...Option) (Served, error)
 	// BuildSharded constructs the index over the same workload as Build,
 	// partitioned across the given number of shards (fan-out/merge
-	// serving; see Sharded). BuildSharded(n, 1, seed) serves the same
+	// serving; see shard.go). BuildSharded(n, 1, seed) serves the same
 	// items as Build(n, seed) behind a one-shard partition.
 	BuildSharded func(n, shards int, seed uint64, opts ...Option) (Served, error)
 	// BuildInvalid attempts construction over a small workload containing
@@ -218,16 +218,16 @@ func ProblemNames() []string {
 }
 
 // servedEngine is the uniform index surface the served adapter drives —
-// satisfied by both a single engine and a Sharded partition of engines,
+// satisfied by both a single engine and a sharded partition of engines,
 // which is what lets every registry consumer (serving, benchmarks,
 // conformance) run shard-aware with no per-problem code.
 type servedEngine[Q, It any] interface {
 	Len() int
+	ShardLens() []int
 	TopK(q Q, k int) []It
 	Max(q Q) (It, bool)
 	ReportAbove(q Q, tau float64, visit func(It) bool)
 	Items() []It
-	QueryBatch(qs []Q, k int, parallelism int) []BatchResult[It]
 	QueryBatchCtx(ctx QueryCtx, qs []Q, k int, parallelism int) []BatchResult[It]
 	Insert(it It) error
 	InsertBatch(items []It) error
@@ -246,15 +246,14 @@ type servedEngine[Q, It any] interface {
 
 func (e *engine[Q, V, It]) hasWeight(w float64) bool { _, ok := e.data[w]; return ok }
 
-func (s *Sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
+func (s *sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
 
-// served adapts one engine — or one Sharded group of engines — to the
+// served adapts one engine — or one sharded group of engines — to the
 // type-erased Served interface. The problem-specific residue is the
-// problem descriptor, four closures, and a canonical invalid item.
+// problem descriptor, five closures, and a canonical invalid item.
 type served[Q, V, It any] struct {
-	p       problem[Q, V, It]
-	eng     servedEngine[Q, It]
-	nshards int
+	p   problem[Q, V, It]
+	eng servedEngine[Q, It]
 	// gen draws one query from the problem's deterministic distribution.
 	gen func(g *wrand.RNG) Q
 	// decode parses the problem's JSON query shape.
@@ -270,16 +269,10 @@ type served[Q, V, It any] struct {
 	invalid It
 }
 
-func (s *served[Q, V, It]) Problem() string { return s.p.name }
-func (s *served[Q, V, It]) Shards() int     { return s.nshards }
-func (s *served[Q, V, It]) Len() int        { return s.eng.Len() }
-
-func (s *served[Q, V, It]) ShardSizes() []int {
-	if sh, ok := s.eng.(interface{ ShardLens() []int }); ok {
-		return sh.ShardLens()
-	}
-	return []int{s.eng.Len()}
-}
+func (s *served[Q, V, It]) Problem() string   { return s.p.name }
+func (s *served[Q, V, It]) Shards() int       { return len(s.eng.ShardLens()) }
+func (s *served[Q, V, It]) ShardSizes() []int { return s.eng.ShardLens() }
+func (s *served[Q, V, It]) Len() int          { return s.eng.Len() }
 
 func (s *served[Q, V, It]) GenQueries(m int, seed uint64) []any {
 	g := wrand.New(seed)
@@ -512,6 +505,53 @@ func genPointsN(n, d int, seed uint64) []PointItemN[int] {
 	return items
 }
 
+// newSpec completes a registry entry from what is specific to the
+// problem: its descriptor p, the deterministic n-item workload mk, and
+// the served residue sv (whose p and eng are filled in here). The
+// entry's name, dimension, and update support come from p, and every
+// construction hook — Build, BuildSharded, BuildInvalid, Restore,
+// RestoreShard, Reshard — is the same generic code for all problems.
+// spec supplies the wire documentation.
+func newSpec[Q, V, It any](spec ProblemSpec, p problem[Q, V, It], mk func(n int, seed uint64) []It, sv served[Q, V, It]) ProblemSpec {
+	sv.p = p
+	adapt := func(eng servedEngine[Q, It], err error) (Served, error) {
+		if err != nil {
+			return nil, err
+		}
+		s := sv
+		s.eng = eng
+		return &s, nil
+	}
+	// A snapshot restores only under the dimension the registry serves.
+	mkProblem := func(h snap.Header) (problem[Q, V, It], error) {
+		if p.dim != 0 && int(h.Dim) != p.dim {
+			return problem[Q, V, It]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves %s in dimension %d", h.Dim, p.name, p.dim)
+		}
+		return p, nil
+	}
+	spec.Name, spec.Dim, spec.NativeDynamic = p.name, p.dim, p.dynPri != nil
+	spec.Build = func(n int, seed uint64, opts ...Option) (Served, error) {
+		return adapt(newEngine(p, mk(n, seed), opts))
+	}
+	spec.BuildSharded = func(n, shards int, seed uint64, opts ...Option) (Served, error) {
+		return adapt(newSharded(p, mk(n, seed), shards, opts))
+	}
+	spec.BuildInvalid = func(opts ...Option) error {
+		_, err := newEngine(p, append(mk(4, 1), sv.invalid), opts)
+		return err
+	}
+	spec.Restore = func(dir string, opts ...Option) (Served, error) {
+		return adapt(restoreServedEngine(mkProblem, dir, opts))
+	}
+	spec.RestoreShard = func(dir string, shard int, opts ...Option) (Served, error) {
+		return adapt(restoreShardEngine(mkProblem, dir, shard, opts))
+	}
+	spec.Reshard = func(srcDir, dstDir string, shards int) error {
+		return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
+	}
+	return spec
+}
+
 var problemRegistry = []ProblemSpec{
 	intervalSpec(),
 	rangeSpec(),
@@ -524,7 +564,13 @@ var problemRegistry = []ProblemSpec{
 }
 
 func intervalSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []IntervalItem[int] {
+	genQ := func(g *wrand.RNG) float64 { return g.Float64() * coordScale }
+	const itemShape = `{"lo": x1, "hi": x2, "weight": w}`
+	return newSpec(ProblemSpec{
+		QueryShape:  "number (stabbing point x)",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(x float64) any { return x }),
+	}, intervalProblem[int](), func(n int, seed uint64) []IntervalItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]IntervalItem[int], n)
@@ -533,102 +579,40 @@ func intervalSpec() ProblemSpec {
 			items[i] = IntervalItem[int]{Lo: lo, Hi: lo + g.ExpFloat64()*5, Weight: ws[i], Data: i}
 		}
 		return items
-	}
-	genQ := func(g *wrand.RNG) float64 { return g.Float64() * coordScale }
-	const itemShape = `{"lo": x1, "hi": x2, "weight": w}`
-	adapt := func(eng servedEngine[float64, IntervalItem[int]], nshards int) Served {
-		return &served[float64, interval.Interval, IntervalItem[int]]{
-			p: intervalProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (float64, error) {
-				var x float64
-				if err := json.Unmarshal(raw, &x); err != nil {
-					return 0, fmt.Errorf("want a stabbing point (number): %w", err)
-				}
-				return x, nil
-			},
-			decItem: func(raw json.RawMessage) (IntervalItem[int], error) {
-				var body struct {
-					Lo     float64  `json:"lo"`
-					Hi     float64  `json:"hi"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return IntervalItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return IntervalItem[int]{}, err
-				}
-				return IntervalItem[int]{Lo: body.Lo, Hi: body.Hi, Weight: w}, nil
-			},
-			label: func(it IntervalItem[int]) string { return fmt.Sprintf("[%.3f, %.3f]", it.Lo, it.Hi) },
-			fresh: func(g *wrand.RNG, w float64) IntervalItem[int] {
-				lo := g.Float64() * coordScale
-				return IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: w}
-			},
-			invalid: IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[float64, interval.Interval, IntervalItem[int]], error) {
-		return intervalProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:          "interval",
-		QueryShape:    "number (stabbing point x)",
-		ItemShape:     itemShape,
-		WireQueries:   wireQueries(genQ, func(x float64) any { return x }),
-		NativeDynamic: true,
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewIntervalIndex(mk(n, seed), opts...)
-			if err != nil {
-				return nil, err
+	}, served[float64, interval.Interval, IntervalItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (float64, error) {
+			var x float64
+			if err := json.Unmarshal(raw, &x); err != nil {
+				return 0, fmt.Errorf("want a stabbing point (number): %w", err)
 			}
-			return adapt(ix.eng, 1), nil
+			return x, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedIntervalIndex(mk(n, seed), shards, opts...)
-			if err != nil {
-				return nil, err
+		decItem: func(raw json.RawMessage) (IntervalItem[int], error) {
+			var body struct {
+				Lo     float64  `json:"lo"`
+				Hi     float64  `json:"hi"`
+				Weight *float64 `json:"weight"`
 			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return IntervalItem[int]{}, err
 			}
-			return adapt(eng, nsh), nil
-		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return IntervalItem[int]{}, err
 			}
-			return adapt(eng, 1), nil
+			return IntervalItem[int]{Lo: body.Lo, Hi: body.Hi, Weight: w}, nil
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
+		label: func(it IntervalItem[int]) string { return fmt.Sprintf("[%.3f, %.3f]", it.Lo, it.Hi) },
+		fresh: func(g *wrand.RNG, w float64) IntervalItem[int] {
+			lo := g.Float64() * coordScale
+			return IntervalItem[int]{Lo: lo, Hi: lo + 1, Weight: w}
 		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
-			_, err := NewIntervalIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5},
+	})
 }
 
 func rangeSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []PointItem1[int] {
-		g := wrand.New(seed)
-		ws := g.UniqueFloats(n, 1e6)
-		items := make([]PointItem1[int], n)
-		for i := range items {
-			items[i] = PointItem1[int]{Pos: g.Float64() * coordScale, Weight: ws[i], Data: i}
-		}
-		return items
-	}
 	genQ := func(g *wrand.RNG) rangerep.Span {
 		a, b := g.Float64()*coordScale, g.Float64()*coordScale
 		if a > b {
@@ -637,85 +621,47 @@ func rangeSpec() ProblemSpec {
 		return rangerep.Span{Lo: a, Hi: b}
 	}
 	const itemShape = `{"pos": x, "weight": w}`
-	adapt := func(eng servedEngine[rangerep.Span, PointItem1[int]], nshards int) Served {
-		return &served[rangerep.Span, float64, PointItem1[int]]{
-			p: rangeProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (rangerep.Span, error) {
-				xs, err := decodeFloats(raw, 2, "[lo, hi]")
-				if err != nil {
-					return rangerep.Span{}, err
-				}
-				return rangerep.Span{Lo: xs[0], Hi: xs[1]}, nil
-			},
-			decItem: func(raw json.RawMessage) (PointItem1[int], error) {
-				var body struct {
-					Pos    float64  `json:"pos"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return PointItem1[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return PointItem1[int]{}, err
-				}
-				return PointItem1[int]{Pos: body.Pos, Weight: w}, nil
-			},
-			label: func(it PointItem1[int]) string { return fmt.Sprintf("%.3f", it.Pos) },
-			fresh: func(g *wrand.RNG, w float64) PointItem1[int] {
-				return PointItem1[int]{Pos: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: PointItem1[int]{Pos: math.NaN(), Weight: 0.5},
+	return newSpec(ProblemSpec{
+		QueryShape:  "[lo, hi]",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(q rangerep.Span) any { return [2]float64{q.Lo, q.Hi} }),
+	}, rangeProblem[int](), func(n int, seed uint64) []PointItem1[int] {
+		g := wrand.New(seed)
+		ws := g.UniqueFloats(n, 1e6)
+		items := make([]PointItem1[int], n)
+		for i := range items {
+			items[i] = PointItem1[int]{Pos: g.Float64() * coordScale, Weight: ws[i], Data: i}
 		}
-	}
-	mkProblem := func(snap.Header) (problem[rangerep.Span, float64, PointItem1[int]], error) {
-		return rangeProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:          "range",
-		QueryShape:    "[lo, hi]",
-		ItemShape:     itemShape,
-		WireQueries:   wireQueries(genQ, func(q rangerep.Span) any { return [2]float64{q.Lo, q.Hi} }),
-		NativeDynamic: true,
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewRangeIndex(mk(n, seed), opts...)
+		return items
+	}, served[rangerep.Span, float64, PointItem1[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (rangerep.Span, error) {
+			xs, err := decodeFloats(raw, 2, "[lo, hi]")
 			if err != nil {
-				return nil, err
+				return rangerep.Span{}, err
 			}
-			return adapt(ix.eng, 1), nil
+			return rangerep.Span{Lo: xs[0], Hi: xs[1]}, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedRangeIndex(mk(n, seed), shards, opts...)
+		decItem: func(raw json.RawMessage) (PointItem1[int], error) {
+			var body struct {
+				Pos    float64  `json:"pos"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return PointItem1[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return PointItem1[int]{}, err
 			}
-			return adapt(ix.Sharded, shards), nil
+			return PointItem1[int]{Pos: body.Pos, Weight: w}, nil
 		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
+		label: func(it PointItem1[int]) string { return fmt.Sprintf("%.3f", it.Pos) },
+		fresh: func(g *wrand.RNG, w float64) PointItem1[int] {
+			return PointItem1[int]{Pos: g.Float64() * coordScale, Weight: w}
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, PointItem1[int]{Pos: math.NaN(), Weight: 0.5})
-			_, err := NewRangeIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: PointItem1[int]{Pos: math.NaN(), Weight: 0.5},
+	})
 }
 
 func orthoSpec() ProblemSpec {
@@ -732,83 +678,34 @@ func orthoSpec() ProblemSpec {
 		q, _ := orthorange.NewBox(lo, hi)
 		return q
 	}
-	adapt := func(eng servedEngine[orthorange.Box, PointItemN[int]], nshards int) Served {
-		return &served[orthorange.Box, halfspace.PtN, PointItemN[int]]{
-			p: orthoProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (orthorange.Box, error) {
-				var body struct {
-					Lo []float64 `json:"lo"`
-					Hi []float64 `json:"hi"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return orthorange.Box{}, fmt.Errorf(`want {"lo": [...], "hi": [...]}: %w`, err)
-				}
-				if len(body.Lo) != d || len(body.Hi) != d {
-					return orthorange.Box{}, fmt.Errorf("want %d-dimensional lo and hi", d)
-				}
-				return orthorange.NewBox(body.Lo, body.Hi)
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5},
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[orthorange.Box, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[orthorange.Box, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves ortho in dimension %d", h.Dim, d)
-		}
-		return orthoProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "ortho",
-		Dim:        d,
+	return newSpec(ProblemSpec{
 		QueryShape: `{"lo": [x1, x2], "hi": [x1, x2]}`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q orthorange.Box) any {
 			return map[string]any{"lo": q.Lo, "hi": q.Hi}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewOrthoIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
+	}, orthoProblem[int](d), func(n int, seed uint64) []PointItemN[int] { return genPointsN(n, d, seed) }, served[orthorange.Box, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (orthorange.Box, error) {
+			var body struct {
+				Lo []float64 `json:"lo"`
+				Hi []float64 `json:"hi"`
 			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedOrthoIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return orthorange.Box{}, fmt.Errorf(`want {"lo": [...], "hi": [...]}: %w`, err)
 			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
+			if len(body.Lo) != d || len(body.Hi) != d {
+				return orthorange.Box{}, fmt.Errorf("want %d-dimensional lo and hi", d)
 			}
-			return adapt(eng, nsh), nil
+			return orthorange.NewBox(body.Lo, body.Hi)
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5})
-			_, err := NewOrthoIndex(items, d, opts...)
-			return err
-		},
-	}
+		invalid: PointItemN[int]{Coords: []float64{1, math.NaN()}, Weight: 0.5},
+	})
 }
 
 func circularSpec() ProblemSpec {
@@ -816,87 +713,46 @@ func circularSpec() ProblemSpec {
 	genQ := func(g *wrand.RNG) circular.Ball {
 		return circular.Ball{Center: genCoords(g, d), R: 5 + g.ExpFloat64()*10}
 	}
-	adapt := func(eng servedEngine[circular.Ball, PointItemN[int]], nshards int) Served {
-		return &served[circular.Ball, halfspace.PtN, PointItemN[int]]{
-			p: circularProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (circular.Ball, error) {
-				var body struct {
-					Center []float64 `json:"center"`
-					Radius float64   `json:"radius"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return circular.Ball{}, fmt.Errorf(`want {"center": [...], "radius": r}: %w`, err)
-				}
-				if len(body.Center) != d {
-					return circular.Ball{}, fmt.Errorf("want a %d-dimensional center", d)
-				}
-				return circular.Ball{Center: body.Center, R: body.Radius}, nil
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5},
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[circular.Ball, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[circular.Ball, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves circular in dimension %d", h.Dim, d)
-		}
-		return circularProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "circular",
-		Dim:        d,
+	return newSpec(ProblemSpec{
 		QueryShape: `{"center": [x, y], "radius": r}`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q circular.Ball) any {
 			return map[string]any{"center": q.Center, "radius": q.R}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewCircularIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
+	}, circularProblem[int](d), func(n int, seed uint64) []PointItemN[int] { return genPointsN(n, d, seed) }, served[circular.Ball, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (circular.Ball, error) {
+			var body struct {
+				Center []float64 `json:"center"`
+				Radius float64   `json:"radius"`
 			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedCircularIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return circular.Ball{}, fmt.Errorf(`want {"center": [...], "radius": r}: %w`, err)
 			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
+			if len(body.Center) != d {
+				return circular.Ball{}, fmt.Errorf("want a %d-dimensional center", d)
 			}
-			return adapt(eng, nsh), nil
+			return circular.Ball{Center: body.Center, R: body.Radius}, nil
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5})
-			_, err := NewCircularIndex(items, d, opts...)
-			return err
-		},
-	}
+		invalid: PointItemN[int]{Coords: []float64{math.NaN(), 1}, Weight: 0.5},
+	})
 }
 
 func dominanceSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []DominanceItem[int] {
+	genQ := func(g *wrand.RNG) dominance.Pt3 {
+		return dominance.Pt3{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale}
+	}
+	const itemShape = `{"x": x, "y": y, "z": z, "weight": w}`
+	return newSpec(ProblemSpec{
+		QueryShape:  "[x, y, z] (dominance corner)",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(q dominance.Pt3) any { return [3]float64{q.X, q.Y, q.Z} }),
+	}, dominanceProblem[int](), func(n int, seed uint64) []DominanceItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]DominanceItem[int], n)
@@ -907,97 +763,51 @@ func dominanceSpec() ProblemSpec {
 			}
 		}
 		return items
-	}
-	genQ := func(g *wrand.RNG) dominance.Pt3 {
-		return dominance.Pt3{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale}
-	}
-	const itemShape = `{"x": x, "y": y, "z": z, "weight": w}`
-	adapt := func(eng servedEngine[dominance.Pt3, DominanceItem[int]], nshards int) Served {
-		return &served[dominance.Pt3, dominance.Pt3, DominanceItem[int]]{
-			p: dominanceProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (dominance.Pt3, error) {
-				xs, err := decodeFloats(raw, 3, "[x, y, z]")
-				if err != nil {
-					return dominance.Pt3{}, err
-				}
-				return dominance.Pt3{X: xs[0], Y: xs[1], Z: xs[2]}, nil
-			},
-			decItem: func(raw json.RawMessage) (DominanceItem[int], error) {
-				var body struct {
-					X      float64  `json:"x"`
-					Y      float64  `json:"y"`
-					Z      float64  `json:"z"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return DominanceItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return DominanceItem[int]{}, err
-				}
-				return DominanceItem[int]{X: body.X, Y: body.Y, Z: body.Z, Weight: w}, nil
-			},
-			label: func(it DominanceItem[int]) string {
-				return fmt.Sprintf("(%.3f, %.3f, %.3f)", it.X, it.Y, it.Z)
-			},
-			fresh: func(g *wrand.RNG, w float64) DominanceItem[int] {
-				return DominanceItem[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: DominanceItem[int]{X: math.NaN(), Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[dominance.Pt3, dominance.Pt3, DominanceItem[int]], error) {
-		return dominanceProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "dominance",
-		QueryShape:  "[x, y, z] (dominance corner)",
-		ItemShape:   itemShape,
-		WireQueries: wireQueries(genQ, func(q dominance.Pt3) any { return [3]float64{q.X, q.Y, q.Z} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewDominanceIndex(mk(n, seed), opts...)
+	}, served[dominance.Pt3, dominance.Pt3, DominanceItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (dominance.Pt3, error) {
+			xs, err := decodeFloats(raw, 3, "[x, y, z]")
 			if err != nil {
-				return nil, err
+				return dominance.Pt3{}, err
 			}
-			return adapt(ix.eng, 1), nil
+			return dominance.Pt3{X: xs[0], Y: xs[1], Z: xs[2]}, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedDominanceIndex(mk(n, seed), shards, opts...)
+		decItem: func(raw json.RawMessage) (DominanceItem[int], error) {
+			var body struct {
+				X      float64  `json:"x"`
+				Y      float64  `json:"y"`
+				Z      float64  `json:"z"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return DominanceItem[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return DominanceItem[int]{}, err
 			}
-			return adapt(ix.Sharded, shards), nil
+			return DominanceItem[int]{X: body.X, Y: body.Y, Z: body.Z, Weight: w}, nil
 		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
+		label: func(it DominanceItem[int]) string {
+			return fmt.Sprintf("(%.3f, %.3f, %.3f)", it.X, it.Y, it.Z)
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
+		fresh: func(g *wrand.RNG, w float64) DominanceItem[int] {
+			return DominanceItem[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Z: g.Float64() * coordScale, Weight: w}
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, DominanceItem[int]{X: math.NaN(), Weight: 0.5})
-			_, err := NewDominanceIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: DominanceItem[int]{X: math.NaN(), Weight: 0.5},
+	})
 }
 
 func enclosureSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []RectItem[int] {
+	genQ := func(g *wrand.RNG) enclosure.Pt2 {
+		return enclosure.Pt2{X: g.Float64() * coordScale, Y: g.Float64() * coordScale}
+	}
+	const itemShape = `{"x1": x1, "x2": x2, "y1": y1, "y2": y2, "weight": w}`
+	return newSpec(ProblemSpec{
+		QueryShape:  "[x, y] (query point)",
+		ItemShape:   itemShape,
+		WireQueries: wireQueries(genQ, func(q enclosure.Pt2) any { return [2]float64{q.X, q.Y} }),
+	}, enclosureProblem[int](), func(n int, seed uint64) []RectItem[int] {
 		g := wrand.New(seed)
 		ws := g.UniqueFloats(n, 1e6)
 		items := make([]RectItem[int], n)
@@ -1009,107 +819,44 @@ func enclosureSpec() ProblemSpec {
 			}
 		}
 		return items
-	}
-	genQ := func(g *wrand.RNG) enclosure.Pt2 {
-		return enclosure.Pt2{X: g.Float64() * coordScale, Y: g.Float64() * coordScale}
-	}
-	const itemShape = `{"x1": x1, "x2": x2, "y1": y1, "y2": y2, "weight": w}`
-	adapt := func(eng servedEngine[enclosure.Pt2, RectItem[int]], nshards int) Served {
-		return &served[enclosure.Pt2, enclosure.Rect, RectItem[int]]{
-			p: enclosureProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (enclosure.Pt2, error) {
-				xs, err := decodeFloats(raw, 2, "[x, y]")
-				if err != nil {
-					return enclosure.Pt2{}, err
-				}
-				return enclosure.Pt2{X: xs[0], Y: xs[1]}, nil
-			},
-			decItem: func(raw json.RawMessage) (RectItem[int], error) {
-				var body struct {
-					X1     float64  `json:"x1"`
-					X2     float64  `json:"x2"`
-					Y1     float64  `json:"y1"`
-					Y2     float64  `json:"y2"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return RectItem[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return RectItem[int]{}, err
-				}
-				return RectItem[int]{X1: body.X1, X2: body.X2, Y1: body.Y1, Y2: body.Y2, Weight: w}, nil
-			},
-			label: func(it RectItem[int]) string {
-				return fmt.Sprintf("[%.3f, %.3f]×[%.3f, %.3f]", it.X1, it.X2, it.Y1, it.Y2)
-			},
-			fresh: func(g *wrand.RNG, w float64) RectItem[int] {
-				x, y := g.Float64()*coordScale, g.Float64()*coordScale
-				return RectItem[int]{X1: x, X2: x + 1, Y1: y, Y2: y + 1, Weight: w}
-			},
-			invalid: RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[enclosure.Pt2, enclosure.Rect, RectItem[int]], error) {
-		return enclosureProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "enclosure",
-		QueryShape:  "[x, y] (query point)",
-		ItemShape:   itemShape,
-		WireQueries: wireQueries(genQ, func(q enclosure.Pt2) any { return [2]float64{q.X, q.Y} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewEnclosureIndex(mk(n, seed), opts...)
+	}, served[enclosure.Pt2, enclosure.Rect, RectItem[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (enclosure.Pt2, error) {
+			xs, err := decodeFloats(raw, 2, "[x, y]")
 			if err != nil {
-				return nil, err
+				return enclosure.Pt2{}, err
 			}
-			return adapt(ix.eng, 1), nil
+			return enclosure.Pt2{X: xs[0], Y: xs[1]}, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedEnclosureIndex(mk(n, seed), shards, opts...)
+		decItem: func(raw json.RawMessage) (RectItem[int], error) {
+			var body struct {
+				X1     float64  `json:"x1"`
+				X2     float64  `json:"x2"`
+				Y1     float64  `json:"y1"`
+				Y2     float64  `json:"y2"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return RectItem[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return RectItem[int]{}, err
 			}
-			return adapt(ix.Sharded, shards), nil
+			return RectItem[int]{X1: body.X1, X2: body.X2, Y1: body.Y1, Y2: body.Y2, Weight: w}, nil
 		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
+		label: func(it RectItem[int]) string {
+			return fmt.Sprintf("[%.3f, %.3f]×[%.3f, %.3f]", it.X1, it.X2, it.Y1, it.Y2)
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
+		fresh: func(g *wrand.RNG, w float64) RectItem[int] {
+			x, y := g.Float64()*coordScale, g.Float64()*coordScale
+			return RectItem[int]{X1: x, X2: x + 1, Y1: y, Y2: y + 1, Weight: w}
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5})
-			_, err := NewEnclosureIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: RectItem[int]{X1: 2, X2: 1, Y1: 0, Y2: 1, Weight: 0.5},
+	})
 }
 
 func halfplaneSpec() ProblemSpec {
-	mk := func(n int, seed uint64) []PointItem2[int] {
-		g := wrand.New(seed)
-		ws := g.UniqueFloats(n, 1e6)
-		items := make([]PointItem2[int], n)
-		for i := range items {
-			items[i] = PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: ws[i], Data: i}
-		}
-		return items
-	}
 	// A boundary through a uniform point with a normal direction:
 	// roughly half the items match.
 	genQ := func(g *wrand.RNG) halfspace.Halfplane {
@@ -1118,85 +865,48 @@ func halfplaneSpec() ProblemSpec {
 		return halfspace.Halfplane{A: a, B: b, C: a*px + b*py}
 	}
 	const itemShape = `{"x": x, "y": y, "weight": w}`
-	adapt := func(eng servedEngine[halfspace.Halfplane, PointItem2[int]], nshards int) Served {
-		return &served[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]]{
-			p: halfplaneProblem[int](), eng: eng, nshards: nshards,
-			gen: genQ,
-			decode: func(raw json.RawMessage) (halfspace.Halfplane, error) {
-				xs, err := decodeFloats(raw, 3, "[a, b, c] (halfplane a·x + b·y ≥ c)")
-				if err != nil {
-					return halfspace.Halfplane{}, err
-				}
-				return halfspace.Halfplane{A: xs[0], B: xs[1], C: xs[2]}, nil
-			},
-			decItem: func(raw json.RawMessage) (PointItem2[int], error) {
-				var body struct {
-					X      float64  `json:"x"`
-					Y      float64  `json:"y"`
-					Weight *float64 `json:"weight"`
-				}
-				if err := unmarshalItem(raw, itemShape, &body); err != nil {
-					return PointItem2[int]{}, err
-				}
-				w, err := itemWeight(body.Weight, itemShape)
-				if err != nil {
-					return PointItem2[int]{}, err
-				}
-				return PointItem2[int]{X: body.X, Y: body.Y, Weight: w}, nil
-			},
-			label: func(it PointItem2[int]) string { return fmt.Sprintf("(%.3f, %.3f)", it.X, it.Y) },
-			fresh: func(g *wrand.RNG, w float64) PointItem2[int] {
-				return PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: w}
-			},
-			invalid: PointItem2[int]{X: math.NaN(), Weight: 0.5},
-		}
-	}
-	mkProblem := func(snap.Header) (problem[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]], error) {
-		return halfplaneProblem[int](), nil
-	}
-	return ProblemSpec{
-		Name:        "halfplane",
+	return newSpec(ProblemSpec{
 		QueryShape:  "[a, b, c] (halfplane a·x + b·y ≥ c)",
 		ItemShape:   itemShape,
 		WireQueries: wireQueries(genQ, func(q halfspace.Halfplane) any { return [3]float64{q.A, q.B, q.C} }),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewHalfplaneIndex(mk(n, seed), opts...)
+	}, halfplaneProblem[int](), func(n int, seed uint64) []PointItem2[int] {
+		g := wrand.New(seed)
+		ws := g.UniqueFloats(n, 1e6)
+		items := make([]PointItem2[int], n)
+		for i := range items {
+			items[i] = PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: ws[i], Data: i}
+		}
+		return items
+	}, served[halfspace.Halfplane, halfspace.Pt2, PointItem2[int]]{
+		gen: genQ,
+		decode: func(raw json.RawMessage) (halfspace.Halfplane, error) {
+			xs, err := decodeFloats(raw, 3, "[a, b, c] (halfplane a·x + b·y ≥ c)")
 			if err != nil {
-				return nil, err
+				return halfspace.Halfplane{}, err
 			}
-			return adapt(ix.eng, 1), nil
+			return halfspace.Halfplane{A: xs[0], B: xs[1], C: xs[2]}, nil
 		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedHalfplaneIndex(mk(n, seed), shards, opts...)
+		decItem: func(raw json.RawMessage) (PointItem2[int], error) {
+			var body struct {
+				X      float64  `json:"x"`
+				Y      float64  `json:"y"`
+				Weight *float64 `json:"weight"`
+			}
+			if err := unmarshalItem(raw, itemShape, &body); err != nil {
+				return PointItem2[int]{}, err
+			}
+			w, err := itemWeight(body.Weight, itemShape)
 			if err != nil {
-				return nil, err
+				return PointItem2[int]{}, err
 			}
-			return adapt(ix.Sharded, shards), nil
+			return PointItem2[int]{X: body.X, Y: body.Y, Weight: w}, nil
 		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, nsh), nil
+		label: func(it PointItem2[int]) string { return fmt.Sprintf("(%.3f, %.3f)", it.X, it.Y) },
+		fresh: func(g *wrand.RNG, w float64) PointItem2[int] {
+			return PointItem2[int]{X: g.Float64() * coordScale, Y: g.Float64() * coordScale, Weight: w}
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
-		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := mk(4, 1)
-			items = append(items, PointItem2[int]{X: math.NaN(), Weight: 0.5})
-			_, err := NewHalfplaneIndex(items, opts...)
-			return err
-		},
-	}
+		invalid: PointItem2[int]{X: math.NaN(), Weight: 0.5},
+	})
 }
 
 func halfspaceSpec() ProblemSpec {
@@ -1210,81 +920,32 @@ func halfspaceSpec() ProblemSpec {
 		}
 		return halfspace.Halfspace{A: a, C: c}
 	}
-	adapt := func(eng servedEngine[halfspace.Halfspace, PointItemN[int]], nshards int) Served {
-		return &served[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{
-			p: halfspaceProblem[int](d), eng: eng, nshards: nshards,
-			gen:     genQ,
-			decItem: decodePointN,
-			decode: func(raw json.RawMessage) (halfspace.Halfspace, error) {
-				var body struct {
-					A []float64 `json:"a"`
-					C float64   `json:"c"`
-				}
-				if err := json.Unmarshal(raw, &body); err != nil {
-					return halfspace.Halfspace{}, fmt.Errorf(`want {"a": [...], "c": c}: %w`, err)
-				}
-				if len(body.A) != d {
-					return halfspace.Halfspace{}, fmt.Errorf("want a %d-dimensional normal a", d)
-				}
-				return halfspace.Halfspace{A: body.A, C: body.C}, nil
-			},
-			label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
-			fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
-				return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
-			},
-			invalid: PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5}, // wrong dimension
-		}
-	}
-	mkProblem := func(h snap.Header) (problem[halfspace.Halfspace, halfspace.PtN, PointItemN[int]], error) {
-		if int(h.Dim) != d {
-			return problem[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{}, fmt.Errorf("topk: snapshot is %d-dimensional, the registry serves halfspace in dimension %d", h.Dim, d)
-		}
-		return halfspaceProblem[int](d), nil
-	}
-	return ProblemSpec{
-		Name:       "halfspace",
-		Dim:        d,
+	return newSpec(ProblemSpec{
 		QueryShape: `{"a": [a1, a2, a3], "c": c} (halfspace a·x ≥ c)`,
 		ItemShape:  pointNItemShape,
 		WireQueries: wireQueries(genQ, func(q halfspace.Halfspace) any {
 			return map[string]any{"a": q.A, "c": q.C}
 		}),
-		Build: func(n int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewHalfspaceIndex(genPointsN(n, d, seed), d, opts...)
-			if err != nil {
-				return nil, err
+	}, halfspaceProblem[int](d), func(n int, seed uint64) []PointItemN[int] { return genPointsN(n, d, seed) }, served[halfspace.Halfspace, halfspace.PtN, PointItemN[int]]{
+		gen:     genQ,
+		decItem: decodePointN,
+		decode: func(raw json.RawMessage) (halfspace.Halfspace, error) {
+			var body struct {
+				A []float64 `json:"a"`
+				C float64   `json:"c"`
 			}
-			return adapt(ix.eng, 1), nil
-		},
-		BuildSharded: func(n, shards int, seed uint64, opts ...Option) (Served, error) {
-			ix, err := NewShardedHalfspaceIndex(genPointsN(n, d, seed), d, shards, opts...)
-			if err != nil {
-				return nil, err
+			if err := json.Unmarshal(raw, &body); err != nil {
+				return halfspace.Halfspace{}, fmt.Errorf(`want {"a": [...], "c": c}: %w`, err)
 			}
-			return adapt(ix.Sharded, shards), nil
-		},
-		Restore: func(dir string, opts ...Option) (Served, error) {
-			eng, nsh, err := restoreServedEngine(mkProblem, dir, opts)
-			if err != nil {
-				return nil, err
+			if len(body.A) != d {
+				return halfspace.Halfspace{}, fmt.Errorf("want a %d-dimensional normal a", d)
 			}
-			return adapt(eng, nsh), nil
+			return halfspace.Halfspace{A: body.A, C: body.C}, nil
 		},
-		RestoreShard: func(dir string, shard int, opts ...Option) (Served, error) {
-			eng, err := restoreShardEngine(mkProblem, dir, shard, opts)
-			if err != nil {
-				return nil, err
-			}
-			return adapt(eng, 1), nil
+		label: func(it PointItemN[int]) string { return fmtCoords(it.Coords) },
+		fresh: func(g *wrand.RNG, w float64) PointItemN[int] {
+			return PointItemN[int]{Coords: genCoords(g, d), Weight: w}
 		},
-		Reshard: func(srcDir, dstDir string, shards int) error {
-			return reshardSnapshot(mkProblem, srcDir, dstDir, shards)
-		},
-		BuildInvalid: func(opts ...Option) error {
-			items := genPointsN(4, d, 1)
-			items = append(items, PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5})
-			_, err := NewHalfspaceIndex(items, d, opts...)
-			return err
-		},
-	}
+		invalid: PointItemN[int]{Coords: []float64{1, 2}, Weight: 0.5}, // wrong dimension
+	})
 }

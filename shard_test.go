@@ -1,13 +1,24 @@
 package topk
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"topk/internal/interval"
 	"topk/internal/shard"
 	"topk/internal/wrand"
 )
+
+// shardedInterval is the sharded index over the interval problem, the
+// instance the sharding tests drive directly.
+type shardedInterval = sharded[float64, interval.Interval, IntervalItem[int]]
+
+func newShardedInterval(items []IntervalItem[int], shards int, opts ...Option) (*shardedInterval, error) {
+	return newSharded(intervalProblem[int](), items, shards, opts)
+}
 
 func shardIntervals(n int, seed uint64) []IntervalItem[int] {
 	g := wrand.New(seed)
@@ -22,15 +33,15 @@ func shardIntervals(n int, seed uint64) []IntervalItem[int] {
 
 func TestShardedConstructorErrors(t *testing.T) {
 	items := shardIntervals(10, 1)
-	if _, err := NewShardedIntervalIndex(items, 0); err == nil {
+	if _, err := newShardedInterval(items, 0); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
 	dup := append(append([]IntervalItem[int]{}, items...), items[3])
-	if _, err := NewShardedIntervalIndex(dup, 4); err == nil {
+	if _, err := newShardedInterval(dup, 4); err == nil {
 		t.Fatal("accepted a cross-shard duplicate weight")
 	}
 	bad := append(append([]IntervalItem[int]{}, items...), IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
-	if _, err := NewShardedIntervalIndex(bad, 4); err == nil {
+	if _, err := newShardedInterval(bad, 4); err == nil {
 		t.Fatal("accepted a malformed interval")
 	}
 }
@@ -42,12 +53,12 @@ func TestShardedPolicies(t *testing.T) {
 	const n, shards = 100, 4
 	items := shardIntervals(n, 2)
 
-	byWeight, err := NewShardedIntervalIndex(items, shards)
+	byWeight, err := newShardedInterval(items, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byWeight.Policy() != ShardByWeight {
-		t.Fatalf("default policy = %v", byWeight.Policy())
+	if byWeight.opts.policy != ShardByWeight {
+		t.Fatalf("default policy = %v", byWeight.opts.policy)
 	}
 	want := make([]int, shards)
 	for _, it := range items {
@@ -59,12 +70,12 @@ func TestShardedPolicies(t *testing.T) {
 		}
 	}
 
-	rr, err := NewShardedIntervalIndex(items, shards, WithShardPolicy(ShardRoundRobin))
+	rr, err := newShardedInterval(items, shards, WithShardPolicy(ShardRoundRobin))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.Policy() != ShardRoundRobin {
-		t.Fatalf("policy = %v", rr.Policy())
+	if rr.opts.policy != ShardRoundRobin {
+		t.Fatalf("policy = %v", rr.opts.policy)
 	}
 	check := func(stage string) {
 		lens := rr.ShardLens()
@@ -102,7 +113,7 @@ func TestShardedDynamicMatchesSingle(t *testing.T) {
 	for _, policy := range []ShardPolicy{ShardByWeight, ShardRoundRobin} {
 		t.Run(policy.String(), func(t *testing.T) {
 			items := shardIntervals(60, 3)
-			sharded, err := NewShardedIntervalIndex(items, 3, WithShardPolicy(policy))
+			sharded, err := newShardedInterval(items, 3, WithShardPolicy(policy))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +168,7 @@ func TestShardedDynamicMatchesSingle(t *testing.T) {
 // series carries a shard label, each metric family renders exactly one
 // HELP/TYPE header, and the topk_shards gauge reports the width.
 func TestShardedMetricsSharedRegistry(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(80, 4), 3, WithMetrics())
+	ix, err := newShardedInterval(shardIntervals(80, 4), 3, WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +196,7 @@ func TestShardedMetricsSharedRegistry(t *testing.T) {
 		}
 	}
 
-	plain, err := NewShardedIntervalIndex(shardIntervals(10, 5), 2)
+	plain, err := newShardedInterval(shardIntervals(10, 5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,14 +208,15 @@ func TestShardedMetricsSharedRegistry(t *testing.T) {
 // TestShardedStatsAggregate checks that index-wide Stats are the
 // element-wise sum of the per-shard counters and reset together.
 func TestShardedStatsAggregate(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(120, 6), 4, WithReduction(WorstCase))
+	ix, err := newShardedInterval(shardIntervals(120, 6), 4, WithReduction(WorstCase))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ix.ResetStats()
 	ix.TopK(42, 9)
 	sum := Stats{Reduction: WorstCase}
-	for _, st := range ix.ShardStats() {
+	for _, e := range ix.shards {
+		st := e.Stats()
 		sum.Reads += st.Reads
 		sum.Writes += st.Writes
 		sum.Hits += st.Hits
@@ -222,43 +234,10 @@ func TestShardedStatsAggregate(t *testing.T) {
 	}
 }
 
-// TestShardedOrthoValidation checks that the dimension-checked wrappers
-// keep their facade error contract behind sharding.
-func TestShardedOrthoValidation(t *testing.T) {
-	items := []PointItemN[int]{
-		{Coords: []float64{1, 2}, Weight: 1},
-		{Coords: []float64{3, 4}, Weight: 2},
-		{Coords: []float64{5, 6}, Weight: 3},
-	}
-	ix, err := NewShardedOrthoIndex(items, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Dim() != 2 {
-		t.Fatalf("Dim() = %d", ix.Dim())
-	}
-	if _, err := ix.TopK([]float64{0}, []float64{9}, 2); err == nil {
-		t.Fatal("accepted a 1D box on a 2D index")
-	}
-	if _, err := ix.TopK([]float64{9, 9}, []float64{0, 0}, 2); err == nil {
-		t.Fatal("accepted an inverted box")
-	}
-	got, err := ix.TopK([]float64{0, 0}, []float64{10, 10}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Weight != 3 {
-		t.Fatalf("TopK = %+v", got)
-	}
-	if _, err := NewShardedOrthoIndex(items, 0, 2); err == nil {
-		t.Fatal("accepted dimension 0")
-	}
-}
-
 // TestShardedReportAboveEarlyStop checks that a visitor returning false
 // stops the scan across shard boundaries.
 func TestShardedReportAboveEarlyStop(t *testing.T) {
-	ix, err := NewShardedIntervalIndex(shardIntervals(50, 8), 4)
+	ix, err := newShardedInterval(shardIntervals(50, 8), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,5 +248,51 @@ func TestShardedReportAboveEarlyStop(t *testing.T) {
 	})
 	if seen > 3 {
 		t.Fatalf("visited %d items after stopping at 3", seen)
+	}
+}
+
+// TestMergeShardResultsErrFollowsOutcome drives the per-query shard
+// merge over synthetic per-shard results: the merged Outcome is the
+// worst per-shard one, Err is the error of the first shard that ended
+// with it (so errors.Is on Err agrees with Outcome), and Items follow
+// the merge rules — full merge, top-1 prefix, or refusal.
+func TestMergeShardResultsErrFollowsOutcome(t *testing.T) {
+	weight := func(w float64) float64 { return w }
+	budget := fmt.Errorf("%w (charged 9 of 8 I/Os)", ErrBudgetExceeded)
+	deadline := fmt.Errorf("%w (aborted after 3 I/Os)", ErrDeadlineExceeded)
+	ok := func(ws ...float64) BatchResult[float64] { return BatchResult[float64]{Items: ws} }
+	aborted := func(o Outcome, err error, ws ...float64) BatchResult[float64] {
+		return BatchResult[float64]{Items: ws, Outcome: o, Err: err}
+	}
+	for _, tc := range []struct {
+		name    string
+		shards  []BatchResult[float64]
+		outcome Outcome
+		err     error // the sentinel Err must wrap; nil means Err is nil
+		items   []float64
+	}{
+		{"all ok", []BatchResult[float64]{ok(9, 4), ok(7, 5)}, OutcomeOK, nil, []float64{9, 7, 5}},
+		{"budget then deadline", []BatchResult[float64]{
+			aborted(OutcomeBudgetExceeded, budget), aborted(OutcomeDeadlineExceeded, deadline),
+		}, OutcomeDeadlineExceeded, ErrDeadlineExceeded, nil},
+		{"degraded by deadline then budget", []BatchResult[float64]{
+			aborted(OutcomeDegraded, deadline, 8), ok(9, 6), aborted(OutcomeBudgetExceeded, budget),
+		}, OutcomeBudgetExceeded, ErrBudgetExceeded, nil},
+		{"ok then degraded", []BatchResult[float64]{
+			ok(3, 2), aborted(OutcomeDegraded, budget, 8), aborted(OutcomeDegraded, deadline, 7),
+		}, OutcomeDegraded, ErrBudgetExceeded, []float64{8}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := mergeShardResults(tc.shards, 3, weight, make([][]float64, len(tc.shards)))
+			if r.Outcome != tc.outcome {
+				t.Fatalf("Outcome = %v, want %v", r.Outcome, tc.outcome)
+			}
+			if tc.err == nil && r.Err != nil || tc.err != nil && !errors.Is(r.Err, tc.err) {
+				t.Fatalf("Err = %v, want one wrapping %v", r.Err, tc.err)
+			}
+			if !reflect.DeepEqual(r.Items, tc.items) {
+				t.Fatalf("Items = %v, want %v", r.Items, tc.items)
+			}
+		})
 	}
 }

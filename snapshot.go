@@ -503,7 +503,7 @@ type Manifest struct {
 	Problem       string `json:"problem"`
 	Reduction     string `json:"reduction"`
 	Dim           int    `json:"dim,omitempty"`
-	// Partitioned distinguishes a Sharded index (even with one shard)
+	// Partitioned distinguishes a sharded index (even with one shard)
 	// from a plain engine, so a restore rebuilds the same wrapper.
 	Partitioned bool   `json:"partitioned"`
 	Shards      int    `json:"shards"`
@@ -619,19 +619,11 @@ func (e *engine[Q, V, It]) snapDir(dir string) error {
 	return writeManifest(dir, mf)
 }
 
-// SnapshotShard writes shard i's snapshot stream to w — the shipping
-// primitive: one shard's file restores on any machine.
-func (s *Sharded[Q, V, It]) SnapshotShard(i int, w io.Writer) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("topk: shard %d out of range [0, %d)", i, len(s.shards))
-	}
-	return s.shards[i].Snapshot(w)
-}
-
-// Snapshot persists the partitioned index as a directory: one snapshot
-// file per shard plus a manifest. Safe concurrently with queries, not
-// with Insert or Delete.
-func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
+// snapDir persists the partitioned index as a directory: one snapshot
+// file per shard (each restores alone on any machine, the shipping
+// primitive) plus a manifest. Safe concurrently with queries, not with
+// Insert or Delete.
+func (s *sharded[Q, V, It]) snapDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
@@ -648,9 +640,7 @@ func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
 		Items:         s.Len(),
 	}
 	for i, e := range s.shards {
-		entry, err := writeSnapFile(dir, shardFileName(i), i, e.Len(), func(w io.Writer) error {
-			return s.SnapshotShard(i, w)
-		})
+		entry, err := writeSnapFile(dir, shardFileName(i), i, e.Len(), e.Snapshot)
 		if err != nil {
 			return err
 		}
@@ -658,8 +648,6 @@ func (s *Sharded[Q, V, It]) Snapshot(dir string) error {
 	}
 	return writeManifest(dir, mf)
 }
-
-func (s *Sharded[Q, V, It]) snapDir(dir string) error { return s.Snapshot(dir) }
 
 // restoreEngineFile restores one engine from a shard file, verifying the
 // manifest's size and checksum before decoding.
@@ -689,7 +677,7 @@ func restoreEngineFile[Q, V, It any](
 	return e, nil
 }
 
-// restoreSharded reassembles a Sharded index from a partitioned
+// restoreSharded reassembles a sharded index from a partitioned
 // snapshot directory: each shard file restores into its own engine, the
 // owner map is rebuilt from the restored weights, and the policy and
 // round-robin cursor come back from the manifest.
@@ -698,7 +686,7 @@ func restoreSharded[Q, V, It any](
 	dir string,
 	mf Manifest,
 	opts []Option,
-) (*Sharded[Q, V, It], error) {
+) (*sharded[Q, V, It], error) {
 	pol, err := shardPolicyFromName(mf.Policy)
 	if err != nil {
 		return nil, err
@@ -707,7 +695,7 @@ func restoreSharded[Q, V, It any](
 		return nil, fmt.Errorf("topk: manifest round-robin cursor %d out of range [0, %d)", mf.RR, mf.Shards)
 	}
 	base := applyOptions(opts)
-	s := &Sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
+	s := &sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
 	if base.metrics {
 		s.reg = obs.NewRegistry()
 	}
@@ -751,29 +739,21 @@ func restoreSharded[Q, V, It any](
 }
 
 // restoreServedEngine restores a snapshot directory into whichever
-// wrapper it was saved from — a plain engine or a Sharded partition —
+// wrapper it was saved from — a plain engine or a sharded partition —
 // behind the servedEngine surface the registry adapters consume.
 func restoreServedEngine[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
 	dir string,
 	opts []Option,
-) (servedEngine[Q, It], int, error) {
+) (servedEngine[Q, It], error) {
 	mf, err := ReadManifest(dir)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if !mf.Partitioned {
-		e, err := restoreEngineFile(mk, dir, mf.Files[0], opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return e, 1, nil
+		return restoreEngineFile(mk, dir, mf.Files[0], opts)
 	}
-	s, err := restoreSharded(mk, dir, mf, opts)
-	if err != nil {
-		return nil, 0, err
-	}
-	return s, mf.Shards, nil
+	return restoreSharded(mk, dir, mf, opts)
 }
 
 // restoreShardEngine restores exactly one shard of a snapshot directory
@@ -825,7 +805,7 @@ func reshardSnapshot[Q, V, It any](
 	srcDir, dstDir string,
 	shards int,
 ) error {
-	eng, _, err := restoreServedEngine(mk, srcDir, nil)
+	eng, err := restoreServedEngine(mk, srcDir, nil)
 	if err != nil {
 		return err
 	}
@@ -836,7 +816,7 @@ func reshardSnapshot[Q, V, It any](
 	switch t := eng.(type) {
 	case *engine[Q, V, It]:
 		p, o = t.p, t.opts
-	case *Sharded[Q, V, It]:
+	case *sharded[Q, V, It]:
 		p, o = t.p, t.opts
 	default:
 		return fmt.Errorf("topk: unexpected restored engine %T", eng)
@@ -845,7 +825,7 @@ func reshardSnapshot[Q, V, It any](
 	if err != nil {
 		return err
 	}
-	return s.Snapshot(dstDir)
+	return s.snapDir(dstDir)
 }
 
 // LoadSnapshot restores any snapshot directory: the manifest names the

@@ -397,3 +397,53 @@ func TestSnapshotReshard(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRestoreShard checks the replica-bootstrap hook for every
+// registered problem: each shard of a partitioned snapshot, restored
+// alone through spec.RestoreShard, is a one-shard index holding exactly
+// that shard's items, and its oracle answers are the source's answers
+// restricted to that shard — together they partition the source's.
+func TestSnapshotRestoreShard(t *testing.T) {
+	const shards = 3
+	for _, spec := range RegisteredProblems() {
+		t.Run(spec.Name, func(t *testing.T) {
+			src, err := spec.BuildSharded(confN, shards, confSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := src.Snapshot(dir); err != nil {
+				t.Fatal(err)
+			}
+			sizes := src.ShardSizes()
+			qs := src.GenQueries(8, confQSeed)
+			matched := make([]int, len(qs))
+			for sh := 0; sh < shards; sh++ {
+				one, err := spec.RestoreShard(dir, sh)
+				if err != nil {
+					t.Fatalf("shard %d: %v", sh, err)
+				}
+				if one.Shards() != 1 || !reflect.DeepEqual(one.ShardSizes(), []int{sizes[sh]}) {
+					t.Fatalf("shard %d: Shards %d, ShardSizes %v; want 1 and [%d]", sh, one.Shards(), one.ShardSizes(), sizes[sh])
+				}
+				for qi, q := range qs {
+					all := make(map[ServedItem]bool)
+					for _, it := range src.Oracle(q) {
+						all[it] = true
+					}
+					for _, it := range one.Oracle(q) {
+						if !all[it] {
+							t.Fatalf("shard %d query %d: oracle answer %+v is not in the source's", sh, qi, it)
+						}
+						matched[qi]++
+					}
+				}
+			}
+			for qi, q := range qs {
+				if want := len(src.Oracle(q)); matched[qi] != want {
+					t.Fatalf("query %d: shards answer %d items together, source %d", qi, matched[qi], want)
+				}
+			}
+		})
+	}
+}

@@ -24,13 +24,13 @@
 // range reporting (NewOrthoIndex), circular range reporting
 // (NewCircularIndex), 3D dominance (NewDominanceIndex), 2D point
 // enclosure (NewEnclosureIndex), and 2D halfplane / d-dimensional
-// halfspace reporting (NewHalfplaneIndex, NewHalfspaceIndex). Each has a
-// sharded variant (NewSharded*Index) partitioning the items across
-// independent engines with parallel fan-out and answer-identical
-// merging. The registry (RegisteredProblems, ProblemByName) exposes all
-// of them through the type-erased Served interface, which is what the
-// serving binary (cmd/topk-serve), the snapshot tool (cmd/topk-snap),
-// and the conformance suite drive.
+// halfspace reporting (NewHalfplaneIndex, NewHalfspaceIndex). The
+// registry (RegisteredProblems, ProblemByName) exposes all of them
+// through the type-erased Served interface, which is what the serving
+// binary (cmd/topk-serve), the snapshot tool (cmd/topk-snap), and the
+// conformance suite drive. ProblemSpec.BuildSharded serves any of them
+// partitioned across independent engines, with parallel fan-out and
+// answer-identical merging.
 //
 // All index reads run against a simulated external-memory machine and
 // report I/O counts through Stats, so the paper's I/O bounds can be
@@ -212,7 +212,7 @@ type Options struct {
 	diskDir   string
 	diskDirIO bool
 	// obsReg and shardLabel are set internally when an engine is built as
-	// one shard of a Sharded index: all shards register their metric
+	// one shard of a sharded index: all shards register their metric
 	// series in the shared registry, distinguished by a shard="i" label.
 	obsReg     *obs.Registry
 	shardLabel string
@@ -275,8 +275,9 @@ func WithTracing() Option { return func(o *Options) { o.tracing = true } }
 // Prometheus text format through the index's WriteMetrics method.
 func WithMetrics() Option { return func(o *Options) { o.metrics = true } }
 
-// WithShardPolicy selects how a Sharded index assigns items to shards
-// (default ShardByWeight). It has no effect on unsharded indexes.
+// WithShardPolicy selects how a sharded index (ProblemSpec.BuildSharded)
+// assigns items to shards (default ShardByWeight). It has no effect on
+// unsharded indexes.
 func WithShardPolicy(p ShardPolicy) Option { return func(o *Options) { o.policy = p } }
 
 // WithSlowQueryLog logs every query that costs at least minIOs simulated
@@ -297,7 +298,7 @@ func WithSlowLogKeep(keep int) Option {
 // WithQueryLog emits one structured JSON "wide event" per query to w:
 // problem, query, k, latency, I/Os split by phase, cache hit rate, and —
 // when the query ran under a QueryCtx — its budget, deadline slack, and
-// outcome, all in a single newline-delimited row. Under a Sharded index
+// outcome, all in a single newline-delimited row. Under a sharded index
 // each shard emits its own row, distinguished by the shard field. The
 // writer is shared by concurrent query workers through a mutex; rows
 // never interleave.
@@ -319,7 +320,7 @@ func WithCachePolicy(p CachePolicy) Option { return func(o *Options) { o.cachePo
 // counts gain a physical counterpart (StoreStats) while queries keep
 // answering byte-identically — the in-memory structures remain
 // authoritative, and store failures surface through StoreErr, never as
-// wrong answers. A Sharded index opens one store file per shard in the
+// wrong answers. A sharded index opens one store file per shard in the
 // same directory. The file is recreated on every build or restore (it
 // is a paging arena, not the system of record) and released by Close.
 func WithDiskStore(dir string) Option { return func(o *Options) { o.diskDir = dir } }

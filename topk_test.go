@@ -457,6 +457,9 @@ func TestCircularIndexAllReductions(t *testing.T) {
 }
 
 func TestIndexValidationErrors(t *testing.T) {
+	if _, err := NewOrthoIndex[int](nil, 0); err == nil {
+		t.Error("dimension 0 accepted")
+	}
 	if _, err := NewHalfspaceIndex[int](nil, 0); err == nil {
 		t.Error("dimension 0 accepted")
 	}
