@@ -7,6 +7,8 @@ package topk
 
 import (
 	"math"
+	"path/filepath"
+	"runtime"
 	"testing"
 
 	"topk/internal/circular"
@@ -590,5 +592,97 @@ func BenchmarkBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// residentConfigs are the index configurations servebench's three
+// workloads serve, built through the registry as topk-serve builds them
+// (tracing and metrics on), at n items. serve-disk-sharded restores a
+// snapshot onto a disk store, as its warm boot does; dir holds the
+// snapshot and the block files. Only what build returns is live when
+// residentBytesPerItem measures.
+func residentConfigs(n int, dir string) []struct {
+	name  string
+	build func() (Served, error)
+} {
+	spec := func(name string) ProblemSpec { s, _ := ProblemByName(name); return s }
+	served := []Option{WithSeed(benchSeed), WithTracing(), WithMetrics()}
+	return []struct {
+		name  string
+		build func() (Served, error)
+	}{
+		{"serve-hot", func() (Served, error) { return spec("interval").Build(n, benchSeed, served...) }},
+		{"serve-disk-sharded", func() (Served, error) {
+			snapDir := filepath.Join(dir, "snap")
+			src, err := spec("circular").BuildSharded(n, 4, benchSeed, served...)
+			if err != nil {
+				return nil, err
+			}
+			defer src.Close()
+			if err := src.Snapshot(snapDir); err != nil {
+				return nil, err
+			}
+			return spec("circular").Restore(snapDir, append(served, WithDiskStore(filepath.Join(dir, "disk")))...)
+		}},
+		{"ingest-overlay", func() (Served, error) {
+			return spec("ortho").Build(n, benchSeed, append(served, WithUpdates(), WithMaintenancePolicy(PolicyBuffered))...)
+		}},
+	}
+}
+
+// residentBytesPerItem builds one index and returns the live heap it
+// holds per item: HeapAlloc after a full GC, minus the same before the
+// build. Garbage the build leaves behind is not counted; the peak RSS a
+// server reaches is about twice this under the default GOGC.
+func residentBytesPerItem(n int, build func() (Served, error)) (float64, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sv, err := build()
+	if err != nil {
+		return 0, err
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sv)
+	sv.Close()
+	return float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(n), nil
+}
+
+// BenchmarkResident reports the live heap bytes per item of the three
+// served configurations at n = 2^15. Report-only; TestResidentServeHot
+// bounds the serve-hot figure.
+func BenchmarkResident(b *testing.B) {
+	const n = 1 << 15
+	for _, bc := range residentConfigs(n, b.TempDir()) {
+		b.Run(bc.name, func(b *testing.B) {
+			var per float64
+			for i := 0; i < b.N; i++ {
+				var err error
+				if per, err = residentBytesPerItem(n, bc.build); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(per, "live-B/item")
+		})
+	}
+}
+
+// TestResidentServeHot bounds the live heap per item of the serve-hot
+// configuration (interval, native Theorem 2, tracing and metrics on) at
+// n = 2^15. Measured 481 B/item on go1.24 linux/amd64 once each layer
+// kept one weight index (586 B/item with the interval trees' per-item
+// location map); the bound is that figure +15%, so a per-item map
+// coming back fails here. Not parallel: it reads process-wide heap
+// statistics.
+func TestResidentServeHot(t *testing.T) {
+	const n, bound = 1 << 15, 481 * 1.15
+	per, err := residentBytesPerItem(n, residentConfigs(n, t.TempDir())[0].build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("serve-hot: %.1f live B/item (bound %.0f)", per, bound)
+	if per > bound {
+		t.Fatalf("serve-hot holds %.1f live B/item, bound %.0f: has a per-item index come back?", per, bound)
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"context"
 	"flag"
 	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -88,7 +87,7 @@ func runCoordinator(addr, snapDir, nodeList string, replicas int, hedge, deadlin
 	srv := cluster.NewServer(co, snapDir, ids)
 	log.Printf("topk-node coordinator: problem=%s shards=%d nodes=%d R=%d on %s (snapshot %s)",
 		mf.Problem, mf.Shards, len(ids), co.Config().Replication, addr, snapDir)
-	log.Fatal(http.ListenAndServe(addr, srv.Handler()))
+	log.Fatal(cluster.NewHTTPServer(addr, srv.Handler()).ListenAndServe())
 }
 
 func runNode(addr, id, fetch, dir string) {
@@ -143,5 +142,5 @@ func runNode(addr, id, fetch, dir string) {
 	}
 	log.Printf("topk-node %s: problem=%s shards=%v items=%d bootstrapped in %s (files in %s) on %s",
 		id, cfg.Problem, n.ShardIDs(), items, time.Since(t0).Round(time.Millisecond), filepath.Clean(dir), addr)
-	log.Fatal(http.ListenAndServe(addr, n.Handler()))
+	log.Fatal(cluster.NewHTTPServer(addr, n.Handler()).ListenAndServe())
 }

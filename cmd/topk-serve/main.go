@@ -281,7 +281,7 @@ func main() {
 	}
 	log.Printf("topk-serve: %s index over %d items in %d shard(s) on %s (%s, slow-ios=%d)",
 		*problem, srv.ix.Len(), srv.ix.Shards(), *addr, boot, *slowIOs)
-	log.Fatal(http.ListenAndServe(*addr, nil))
+	log.Fatal(cluster.NewHTTPServer(*addr, nil).ListenAndServe())
 }
 
 // buildServer constructs the selected problem's index from the registry

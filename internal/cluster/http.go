@@ -14,6 +14,22 @@ import (
 	"topk"
 )
 
+// NewHTTPServer returns the http.Server that topk-serve and topk-node
+// listen with; a nil h serves http.DefaultServeMux. A client that
+// stalls mid-header is cut off after ReadHeaderTimeout instead of
+// holding a goroutine and a file descriptor, and keep-alive connections
+// left unused for IdleTimeout are closed. There is no ReadTimeout or
+// WriteTimeout: snapshot shipping and /ingest bodies may run for
+// minutes, and the handlers cap their own body sizes.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+}
+
 // Server is the coordinator's HTTP surface. Its POST /query is
 // byte-compatible with topk-serve's (same body, same response envelope
 // modulo the elapsed timing string), so clients and topk-loadgen work

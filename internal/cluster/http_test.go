@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -321,5 +323,56 @@ func TestNodeQueryBodyLimit(t *testing.T) {
 		if tooBig := rec.Code == http.StatusRequestEntityTooLarge; tooBig != (size > limit) {
 			t.Errorf("%d-byte body: status %d (%s)", size, rec.Code, strings.TrimSpace(rec.Body.String()))
 		}
+	}
+}
+
+// TestHTTPServerDropsStalledHeader: the servers' shared constructor
+// sets header and idle timeouts but no write timeout, and a client that
+// sends half a request header is disconnected once the header timeout
+// passes, while a complete request on the same server is answered.
+func TestHTTPServerDropsStalledHeader(t *testing.T) {
+	srv := cluster.NewHTTPServer("", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Write([]byte("ok"))
+	}))
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 || srv.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout %v, ReadTimeout %v: long snapshot and ingest transfers need both unset", srv.WriteTimeout, srv.ReadTimeout)
+	}
+	srv.ReadHeaderTimeout = 200 * time.Millisecond // keep the test short
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(body) != "ok" {
+		t.Fatalf("complete request answered %q", body)
+	}
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(10 * time.Second))
+	n, err := conn.Read(make([]byte, 1))
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("half-sent header still connected after %v", time.Since(start))
+	}
+	if err == nil {
+		t.Fatalf("half-sent header got %d response bytes, want a closed connection", n)
 	}
 }

@@ -82,13 +82,18 @@ type TopK[Q, V any] interface {
 }
 
 // Updatable is the dynamic interface required from building blocks plugged
-// into the Theorem 2 reduction's update path. Deletion is keyed by weight,
-// which identifies an item uniquely under the distinct-weights assumption.
+// into the Theorem 2 reduction's update path. A building block keeps no
+// weight index of its own: the layer above it owns one (Expected's
+// posByW) and hands it the stored item, which the block finds again by
+// its own search keys.
 type Updatable[V any] interface {
+	// Insert adds an item. The caller guarantees its weight is not
+	// already stored.
 	Insert(Item[V])
-	// DeleteWeight removes the item with the given weight and reports
-	// whether it was present.
-	DeleteWeight(w float64) bool
+	// Delete removes the stored item with its weight and geometry and
+	// reports whether it was present. An absent item, or a stored weight
+	// under different geometry, returns false and charges nothing.
+	Delete(it Item[V]) bool
 }
 
 // DynamicPrioritized is a prioritized structure that supports updates.
@@ -192,12 +197,9 @@ func LogB(n int, b int) float64 {
 // Reductions rely on distinct weights for tie-free ranking and for
 // weight-keyed deletion.
 func CheckDistinctWeights[V any](items []Item[V]) (dup float64, ok bool) {
-	seen := make(map[float64]struct{}, len(items))
-	for _, it := range items {
-		if _, exists := seen[it.Weight]; exists {
-			return it.Weight, false
-		}
-		seen[it.Weight] = struct{}{}
+	ws := weightsOf(items)
+	if rep := xsort.Repeats(ws); len(rep) > 0 {
+		return ws[rep[0]], false
 	}
 	return 0, true
 }
@@ -206,16 +208,30 @@ func CheckDistinctWeights[V any](items []Item[V]) (dup float64, ok bool) {
 // finite (NaN would corrupt every ordering and map silently; ±Inf
 // collides with the sentinel thresholds) and all weights distinct.
 // Constructors should call this instead of CheckDistinctWeights alone.
+// The error names the first offending item in input order. The check
+// sorts a copy of the weights and builds no map.
 func ValidateWeights[V any](items []Item[V]) error {
-	seen := make(map[float64]struct{}, len(items))
-	for i, it := range items {
-		if math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
-			return fmt.Errorf("core: item %d has non-finite weight %v", i, it.Weight)
+	ws := weightsOf(items)
+	bad := len(ws)
+	for i, w := range ws {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			bad = i
+			break
 		}
-		if _, exists := seen[it.Weight]; exists {
-			return fmt.Errorf("core: duplicate weight %v; the top-k model requires distinct weights", it.Weight)
-		}
-		seen[it.Weight] = struct{}{}
+	}
+	if rep := xsort.Repeats(ws); len(rep) > 0 && rep[0] < bad {
+		return fmt.Errorf("core: duplicate weight %v; the top-k model requires distinct weights", ws[rep[0]])
+	}
+	if bad < len(ws) {
+		return fmt.Errorf("core: item %d has non-finite weight %v", bad, ws[bad])
 	}
 	return nil
+}
+
+func weightsOf[V any](items []Item[V]) []float64 {
+	ws := make([]float64, len(items))
+	for i, it := range items {
+		ws[i] = it.Weight
+	}
+	return ws
 }

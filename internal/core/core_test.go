@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"topk/internal/em"
@@ -32,18 +34,14 @@ func genItems(g *wrand.RNG, n int) []Item[float64] {
 }
 
 // naive is a correct, updatable prioritized+max structure used as the
-// plugged-in black box in reduction tests.
+// plugged-in black box in reduction tests. Like the real black boxes it
+// keeps no weight index: Delete finds the item by scanning for it.
 type naive struct {
 	items []Item[float64]
-	pos   map[float64]int
 }
 
 func newNaive(items []Item[float64]) *naive {
-	n := &naive{items: append([]Item[float64](nil), items...), pos: map[float64]int{}}
-	for i, it := range n.items {
-		n.pos[it.Weight] = i
-	}
-	return n
+	return &naive{items: append([]Item[float64](nil), items...)}
 }
 
 func (n *naive) ReportAbove(_ em.Charger, q span, tau float64, emit func(Item[float64]) bool) {
@@ -67,20 +65,17 @@ func (n *naive) MaxItem(_ em.Charger, q span) (Item[float64], bool) {
 }
 
 func (n *naive) Insert(it Item[float64]) {
-	n.pos[it.Weight] = len(n.items)
 	n.items = append(n.items, it)
 }
 
-func (n *naive) DeleteWeight(w float64) bool {
-	i, ok := n.pos[w]
-	if !ok {
+func (n *naive) Delete(it Item[float64]) bool {
+	i := slices.Index(n.items, it)
+	if i < 0 {
 		return false
 	}
 	last := len(n.items) - 1
 	n.items[i] = n.items[last]
-	n.pos[n.items[i].Weight] = i
 	n.items = n.items[:last]
-	delete(n.pos, w)
 	return true
 }
 
@@ -169,6 +164,50 @@ func TestCheckDistinctWeights(t *testing.T) {
 	}
 	if _, ok := CheckDistinctWeights([]Item[int]{}); !ok {
 		t.Error("empty set flagged as duplicate")
+	}
+}
+
+// validateWeightsSeenSet is the in-order seen-set scan ValidateWeights
+// must agree with, error string for error string.
+func validateWeightsSeenSet(items []Item[int]) error {
+	seen := make(map[float64]struct{}, len(items))
+	for i, it := range items {
+		if math.IsNaN(it.Weight) || math.IsInf(it.Weight, 0) {
+			return fmt.Errorf("core: item %d has non-finite weight %v", i, it.Weight)
+		}
+		if _, exists := seen[it.Weight]; exists {
+			return fmt.Errorf("core: duplicate weight %v; the top-k model requires distinct weights", it.Weight)
+		}
+		seen[it.Weight] = struct{}{}
+	}
+	return nil
+}
+
+// TestValidateWeightsNamesFirstOffender: the sort-based check reports
+// the same first offence, in input order, as a seen-set scan.
+func TestValidateWeightsNamesFirstOffender(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, ws := range [][]float64{
+		{}, {1, 2, 3},
+		{5, 3, 5, 3},              // duplicate 5 named, not 3
+		{4, 3, 3, 4},              // duplicate 3 named: it repeats first
+		{1, 2, 1, nan},            // duplicate before NaN
+		{1, nan, 2, 1},            // NaN before duplicate
+		{inf, 1, inf},             // the first Inf, not the repeat
+		{2, 2, -inf},              // duplicate before -Inf
+		{math.Copysign(0, -1), 0}, // -0 and +0 are one weight
+	} {
+		items := make([]Item[int], len(ws))
+		for i, w := range ws {
+			items[i] = Item[int]{Value: i, Weight: w}
+		}
+		got, want := ValidateWeights(items), validateWeightsSeenSet(items)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("weights %v: err %v, want %v", ws, got, want)
+		}
+	}
+	if dup, ok := CheckDistinctWeights([]Item[int]{{0, 4}, {1, 3}, {2, 3}, {3, 4}}); ok || dup != 3 {
+		t.Errorf("CheckDistinctWeights = %v, %v; want the first repeat, 3", dup, ok)
 	}
 }
 

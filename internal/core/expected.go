@@ -104,8 +104,10 @@ type Expected[Q, V any] struct {
 
 	levels []expLevel[Q, V]
 
-	items    []Item[V]       // live copy of D (naive-scan path, rebuilds)
-	posByW   map[float64]int // weight -> index in items
+	items []Item[V] // live copy of D (naive-scan path, rebuilds)
+	// posByW maps weight -> index in items: the layer's one weight index,
+	// built in dynamic mode only (a static structure never deletes).
+	posByW   map[float64]int
 	nAtBuild int
 
 	rng *wrand.RNG
@@ -182,9 +184,11 @@ func (e *Expected[Q, V]) init(items []Item[V]) error {
 	}
 	e.items = make([]Item[V], len(items))
 	copy(e.items, items)
-	e.posByW = make(map[float64]int, len(items))
-	for i, it := range e.items {
-		e.posByW[it.Weight] = i
+	if e.newPri != nil {
+		e.posByW = make(map[float64]int, len(items))
+		for i, it := range e.items {
+			e.posByW[it.Weight] = i
+		}
 	}
 	return nil
 }
@@ -440,7 +444,8 @@ func (e *Expected[Q, V]) Insert(it Item[V]) error {
 }
 
 // DeleteWeight removes the item with the given weight (dynamic mode only)
-// and reports whether it was present.
+// and reports whether it was present. posByW finds the stored item, which
+// the building blocks then delete by their own search keys.
 func (e *Expected[Q, V]) DeleteWeight(w float64) bool {
 	if e.priDyn == nil {
 		panic("core: DeleteWeight on a static Expected structure; build with NewDynamicExpected")
@@ -450,6 +455,7 @@ func (e *Expected[Q, V]) DeleteWeight(w float64) bool {
 		return false
 	}
 	e.stats.Deletes++
+	it := e.items[pos]
 	last := len(e.items) - 1
 	moved := e.items[last]
 	e.items[pos] = moved
@@ -457,11 +463,11 @@ func (e *Expected[Q, V]) DeleteWeight(w float64) bool {
 	e.posByW[moved.Weight] = pos
 	delete(e.posByW, w)
 
-	e.priDyn.DeleteWeight(w)
+	e.priDyn.Delete(it)
 	for i := range e.levels {
 		lvl := &e.levels[i]
 		if _, in := lvl.members[w]; in {
-			lvl.maxDyn.DeleteWeight(w)
+			lvl.maxDyn.Delete(it)
 			delete(lvl.members, w)
 		}
 	}

@@ -20,7 +20,7 @@ func incrementalTree(items []core.Item[Interval]) *Tree[Interval] {
 	}
 	slices.Sort(coords)
 	coords = dedupSorted(coords)
-	t := &Tree[Interval]{loc: map[float64]locRef[Interval]{}, n0: len(items)}
+	t := &Tree[Interval]{n0: len(items)}
 	t.root = buildSkeleton(make([]tnode[Interval], len(coords)), coords, 0, len(coords))
 	for _, it := range items {
 		t.place(it)
@@ -96,11 +96,11 @@ func TestBulkBuildMatchesIncremental(t *testing.T) {
 		for step := 0; step < 2*n+100; step++ {
 			if len(live) > 0 && g.Bernoulli(0.4) {
 				j := g.IntN(len(live))
-				w := live[j].Weight
+				it := live[j]
 				live[j] = live[len(live)-1]
 				live = live[:len(live)-1]
-				if !bulk.DeleteWeight(w) || !inc.DeleteWeight(w) {
-					t.Fatalf("n=%d: delete %v missed", n, w)
+				if !bulk.Delete(it) || !inc.Delete(it) {
+					t.Fatalf("n=%d: delete %v missed", n, it.Weight)
 				}
 			} else {
 				it := extra[step]

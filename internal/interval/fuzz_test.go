@@ -38,7 +38,7 @@ func FuzzTreeOps(f *testing.F) {
 					continue
 				}
 				idx := int(data[i+3]) % len(live)
-				if !tree.DeleteWeight(live[idx].Weight) {
+				if !tree.Delete(live[idx]) {
 					t.Fatalf("delete of live weight %v failed", live[idx].Weight)
 				}
 				live[idx] = live[len(live)-1]

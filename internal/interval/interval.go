@@ -73,7 +73,7 @@ type Spanned interface {
 type Tree[V Spanned] struct {
 	tracker *em.Tracker
 	root    *tnode[V]
-	loc     map[float64]locRef[V]
+	n       int // stored items
 	n0      int // size at last (re)build
 	churn   int // updates since last (re)build
 	run     em.BlockID
@@ -85,12 +85,6 @@ type tnode[V Spanned] struct {
 	byLo, byHi  treap.Tree[V]
 	rest        []core.Item[V] // post-build intervals that fit no node center
 	left, right *tnode[V]
-}
-
-type locRef[V Spanned] struct {
-	nd     *tnode[V]
-	span   Interval
-	inRest bool
 }
 
 // NewTree builds a tree over items. tracker may be nil. It returns an
@@ -135,11 +129,11 @@ func (t *Tree[V]) build(items []core.Item[V]) {
 	// Skeleton node j (one slab) has center coords[j].
 	nodes := make([]tnode[V], len(coords))
 	t.root = buildSkeleton(nodes, coords, 0, len(coords))
-	t.loc = make(map[float64]locRef[V], len(items))
+	t.n = len(items)
 	t.n0 = len(items)
 	t.churn = 0
 
-	// Route every item to its node, as place would: the walk follows the
+	// Route every item to its node, as route would: the walk follows the
 	// search path of Lo, so it stops at a node whose center the interval
 	// contains before running off the skeleton. Then counting-sort the
 	// items by node into order: node j's group ends up in
@@ -206,9 +200,6 @@ func (t *Tree[V]) build(items []core.Item[V]) {
 			continue
 		}
 		nd := &nodes[j]
-		for _, i := range group {
-			t.loc[items[i].Weight] = locRef[V]{nd: nd, span: spans[i]}
-		}
 		nd.byLo = bulk(group, false)
 		nd.byHi = bulk(group, true)
 	}
@@ -236,40 +227,51 @@ func buildSkeleton[V Spanned](nodes []tnode[V], coords []float64, a, b int) *tno
 	return nd
 }
 
-// place routes an item to its node and records its location.
-func (t *Tree[V]) place(it core.Item[V]) {
-	sp := it.Value.Span()
-	nd := t.root
-	if nd == nil {
-		// Empty skeleton (built from zero items): hold everything in a
-		// synthetic root's rest list.
-		t.root = &tnode[V]{center: sp.Lo}
-		nd = t.root
-	}
-	for {
+// route walks the skeleton along sp's search path, the one walk that
+// place, Delete and CheckInvariants share. It returns the first node
+// whose center sp contains, where sp's treap entries live; or, when the
+// walk runs off the skeleton first, the last node visited, whose rest
+// list holds sp (inRest). nd is nil only on an empty skeleton. The
+// skeleton is fixed between rebuilds, so an item's route never changes
+// while it is stored.
+func (t *Tree[V]) route(sp Interval) (nd *tnode[V], inRest bool) {
+	for nd = t.root; nd != nil; {
 		if sp.Contains(nd.center) {
-			nd.byLo.Insert(treap.Key{K: sp.Lo, W: it.Weight}, it.Value)
-			nd.byHi.Insert(treap.Key{K: sp.Hi, W: it.Weight}, it.Value)
-			t.loc[it.Weight] = locRef[V]{nd: nd, span: sp}
-			return
+			return nd, false
 		}
-		var next *tnode[V]
+		next := nd.right
 		if sp.Hi < nd.center {
 			next = nd.left
-		} else {
-			next = nd.right
 		}
 		if next == nil {
-			nd.rest = append(nd.rest, it)
-			t.loc[it.Weight] = locRef[V]{nd: nd, span: sp, inRest: true}
-			return
+			return nd, true
 		}
 		nd = next
 	}
+	return nil, false
+}
+
+// place stores an item at the node its route names.
+func (t *Tree[V]) place(it core.Item[V]) {
+	sp := it.Value.Span()
+	if t.root == nil {
+		// Empty skeleton (built from zero items): a synthetic root
+		// centred on the first item; later items that miss it go to its
+		// rest list.
+		t.root = &tnode[V]{center: sp.Lo}
+	}
+	nd, inRest := t.route(sp)
+	if inRest {
+		nd.rest = append(nd.rest, it)
+	} else {
+		nd.byLo.Insert(treap.Key{K: sp.Lo, W: it.Weight}, it.Value)
+		nd.byHi.Insert(treap.Key{K: sp.Hi, W: it.Weight}, it.Value)
+	}
+	t.n++
 }
 
 // Len returns the number of stored items.
-func (t *Tree[V]) Len() int { return len(t.loc) }
+func (t *Tree[V]) Len() int { return t.n }
 
 // ReportAbove implements core.Prioritized: emit every item containing q
 // with weight ≥ tau.
@@ -389,13 +391,11 @@ func (t *Tree[V]) Count(c em.Charger, q float64) int {
 	return total
 }
 
-// Insert implements core.Updatable. Duplicate weights overwrite silently
-// is NOT the semantics here: inserting an existing weight panics, because
-// it would corrupt the distinct-weights invariant the reductions rely on.
+// Insert implements core.Updatable. The tree keeps no weight index, so it
+// cannot see a duplicate weight: the layer that owns the weight index
+// (core.Expected, the facade engine) rejects one before it gets here.
+// A malformed interval panics.
 func (t *Tree[V]) Insert(it core.Item[V]) {
-	if _, dup := t.loc[it.Weight]; dup {
-		panic(fmt.Sprintf("interval: duplicate weight %v", it.Weight))
-	}
 	if !it.Value.Span().Valid() {
 		panic(fmt.Sprintf("interval: malformed interval %+v", it.Value.Span()))
 	}
@@ -404,26 +404,38 @@ func (t *Tree[V]) Insert(it core.Item[V]) {
 	t.bumpChurn()
 }
 
-// DeleteWeight implements core.Updatable.
-func (t *Tree[V]) DeleteWeight(w float64) bool {
-	ref, ok := t.loc[w]
-	if !ok {
+// Delete implements core.Updatable: it follows the item's span to its
+// node, as place did, and removes (Lo, W) and (Hi, W) from that node's
+// treaps, or the item from its rest list.
+func (t *Tree[V]) Delete(it core.Item[V]) bool {
+	sp := it.Value.Span()
+	nd, inRest := t.route(sp)
+	switch {
+	case nd == nil:
 		return false
-	}
-	if ref.inRest {
-		for i, it := range ref.nd.rest {
-			if it.Weight == w {
-				last := len(ref.nd.rest) - 1
-				ref.nd.rest[i] = ref.nd.rest[last]
-				ref.nd.rest = ref.nd.rest[:last]
-				break
-			}
+	case inRest:
+		i := slices.IndexFunc(nd.rest, func(r core.Item[V]) bool {
+			return r.Weight == it.Weight && r.Value.Span() == sp
+		})
+		if i < 0 {
+			return false
 		}
-	} else {
-		ref.nd.byLo.Delete(treap.Key{K: ref.span.Lo, W: w})
-		ref.nd.byHi.Delete(treap.Key{K: ref.span.Hi, W: w})
+		last := len(nd.rest) - 1
+		nd.rest[i] = nd.rest[last]
+		nd.rest = nd.rest[:last]
+	default:
+		// Both keys must be present: a stored weight whose Lo or Hi
+		// differs from sp's is another item and stays.
+		hi := treap.Key{K: sp.Hi, W: it.Weight}
+		if _, ok := nd.byHi.Get(hi); !ok {
+			return false
+		}
+		if !nd.byLo.Delete(treap.Key{K: sp.Lo, W: it.Weight}) {
+			return false
+		}
+		nd.byHi.Delete(hi)
 	}
-	delete(t.loc, w)
+	t.n--
 	t.chargeUpdate()
 	t.bumpChurn()
 	return true
@@ -447,7 +459,7 @@ func (t *Tree[V]) Walk(visit func(core.Item[V]) bool) {
 }
 
 func (t *Tree[V]) collect() []core.Item[V] {
-	items := make([]core.Item[V], 0, len(t.loc))
+	items := make([]core.Item[V], 0, t.n)
 	var walk func(nd *tnode[V])
 	walk = func(nd *tnode[V]) {
 		if nd == nil {
@@ -482,7 +494,7 @@ func (t *Tree[V]) chargeUpdate() {
 		return
 	}
 	// One skeleton descent plus two treap updates: O(log n) nodes.
-	t.tracker.PathCost(2 * approxLog2(len(t.loc)+2))
+	t.tracker.PathCost(2 * approxLog2(t.n+2))
 	t.tracker.ScanCost(1)
 }
 

@@ -1,8 +1,11 @@
 package interval
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"topk/internal/core"
@@ -163,6 +166,10 @@ func TestTreeInsertDeleteChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := append([]core.Item[Interval](nil), items...)
+	stored := make(map[float64]bool, len(items))
+	for _, it := range items {
+		stored[it.Weight] = true
+	}
 
 	check := func() {
 		t.Helper()
@@ -194,16 +201,17 @@ func TestTreeInsertDeleteChurn(t *testing.T) {
 				Value:  Interval{Lo: lo, Hi: lo + g.Float64()*0.5},
 				Weight: 2e6 + g.Float64()*1e6,
 			}
-			if _, dup := tree.loc[it.Weight]; dup {
+			if stored[it.Weight] {
 				continue
 			}
+			stored[it.Weight] = true
 			tree.Insert(it)
 			live = append(live, it)
 		}
 		for i := 0; i < 100; i++ {
 			victim := g.IntN(len(live))
-			if !tree.DeleteWeight(live[victim].Weight) {
-				t.Fatalf("DeleteWeight failed for live item")
+			if !tree.Delete(live[victim]) {
+				t.Fatalf("Delete failed for live item")
 			}
 			live[victim] = live[len(live)-1]
 			live = live[:len(live)-1]
@@ -215,19 +223,133 @@ func TestTreeInsertDeleteChurn(t *testing.T) {
 	}
 }
 
+// TestTreeDeleteAbsentAndDuplicateInsert: deleting an absent item
+// returns false, and a duplicate weight is rejected by the layer that
+// owns the weight index — core.Expected over these trees — before any
+// tree sees it. The tree itself keeps no weight index to check against.
 func TestTreeDeleteAbsentAndDuplicateInsert(t *testing.T) {
 	g := wrand.New(6)
 	items := genIntervals(g, 50)
 	tree, _ := NewTree(items, nil)
-	if tree.DeleteWeight(-1) {
+	if tree.Delete(core.Item[Interval]{Value: Interval{0, 1}, Weight: -1}) {
 		t.Fatal("deleted an absent weight")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate-weight insert did not panic")
+
+	tr := em.NewTracker(em.Config{B: 8, MemBlocks: 4})
+	exp, err := core.NewDynamicExpected(items, Match[Interval],
+		NewDynamicPrioritizedFactory[Interval](tr), NewDynamicMaxFactory[Interval](tr),
+		core.ExpectedOptions{B: 8, Seed: 6, Tracker: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pri := exp.Prioritized().(*Tree[Interval])
+	before := pri.Len()
+	err = exp.Insert(core.Item[Interval]{Value: Interval{0, 1}, Weight: items[0].Weight})
+	if err == nil || !strings.Contains(err.Error(), "duplicate weight") {
+		t.Fatalf("duplicate-weight insert: err = %v, want a duplicate-weight error", err)
+	}
+	if pri.Len() != before || exp.N() != len(items) {
+		t.Fatalf("rejected insert changed the structure: tree %d -> %d items, Expected holds %d", before, pri.Len(), exp.N())
+	}
+	if err := pri.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTreeDeleteByItem: Delete follows the item's span to where place
+// put it — a node's treaps or its rest list — and removes exactly that
+// item, even beside another item with the same span. An absent item, or
+// a stored weight under a different span, returns false, changes
+// nothing and charges no I/O.
+func TestTreeDeleteByItem(t *testing.T) {
+	tr := em.NewTracker(em.Config{B: 8, MemBlocks: 4})
+	iv := func(lo, hi, w float64) core.Item[Interval] {
+		return core.Item[Interval]{Value: Interval{lo, hi}, Weight: w}
+	}
+	// Centers 0, 1, 10, 11: [0,1] sits in node 1's treaps. After the
+	// build, [3,4] and [5,6] contain no center and land in node 1's rest
+	// list.
+	all := []core.Item[Interval]{iv(0, 1, 1), iv(0, 1, 2), iv(10, 11, 3), iv(3, 4, 4), iv(5, 6, 5), iv(5, 6, 6)}
+	tree, err := NewTree(all[:3], tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range all[3:] {
+		tree.Insert(it)
+	}
+	if nd, inRest := tree.route(Interval{5, 6}); !inRest || nd.center != 1 || len(nd.rest) != 3 {
+		t.Fatalf("[5,6] routed to node %v (rest %v), want node 1's rest list of 3", nd.center, inRest)
+	}
+	weights := func() []float64 {
+		var ws []float64
+		tree.Walk(func(it core.Item[Interval]) bool { ws = append(ws, it.Weight); return true })
+		sort.Float64s(ws)
+		return ws
+	}
+
+	misses := []core.Item[Interval]{
+		iv(7, 8, 42),  // absent weight, rest path
+		iv(0, 1, 42),  // absent weight, treap path
+		iv(3, 4, 5),   // weight 5 is stored, but under [5,6]
+		iv(0, 2, 1),   // weight 1 is stored under [0,1]: same node and Lo
+		iv(0.5, 1, 2), // weight 2 is stored under [0,1]: same node and Hi
+		iv(20, 30, 3), // weight 3 is stored under [10,11]
+	}
+	tr.DropCache()
+	tr.ResetCounters()
+	before := tr.Stats()
+	for _, it := range misses {
+		if tree.Delete(it) {
+			t.Fatalf("Delete(%+v) = true, want false", it)
 		}
-	}()
-	tree.Insert(core.Item[Interval]{Value: Interval{0, 1}, Weight: items[0].Weight})
+	}
+	if after := tr.Stats(); after != before {
+		t.Fatalf("failed deletes charged I/O: %+v -> %+v", before, after)
+	}
+	if got := weights(); len(got) != 6 || tree.Len() != 6 {
+		t.Fatalf("failed deletes changed the tree: weights %v, Len %d", got, tree.Len())
+	}
+
+	// Each hit removes exactly its item: weight 5 leaves 6 (same span)
+	// in the rest list, weight 1 leaves 2 (same span) in the treaps.
+	for i, c := range []struct {
+		it   core.Item[Interval]
+		want []float64
+	}{
+		{iv(5, 6, 5), []float64{1, 2, 3, 4, 6}},
+		{iv(0, 1, 1), []float64{2, 3, 4, 6}},
+		{iv(3, 4, 4), []float64{2, 3, 6}},
+		{iv(5, 6, 6), []float64{2, 3}},
+		{iv(0, 1, 2), []float64{3}},
+	} {
+		before := tr.Stats()
+		if !tree.Delete(c.it) {
+			t.Fatalf("step %d: Delete(%+v) = false for a stored item", i, c.it)
+		}
+		if d := tr.Stats().Sub(before); d.IOs()+d.Hits == 0 {
+			t.Fatalf("step %d: a successful delete charged nothing", i)
+		}
+		if got := weights(); fmt.Sprint(got) != fmt.Sprint(c.want) || tree.Len() != len(c.want) {
+			t.Fatalf("step %d: weights %v (Len %d), want %v", i, got, tree.Len(), c.want)
+		}
+		if tree.Delete(c.it) {
+			t.Fatalf("step %d: deleted %+v twice", i, c.it)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		for _, q := range []float64{0.5, 3.5, 5.5, 10.5} {
+			want := 0
+			for _, it := range all {
+				if it.Value.Contains(q) && slices.Contains(c.want, it.Weight) {
+					want++
+				}
+			}
+			if got := tree.Count(noIO, q); got != want {
+				t.Fatalf("step %d: Count(%v) = %d, want %d", i, q, got, want)
+			}
+		}
+	}
 }
 
 func TestTreeRejectsBadInput(t *testing.T) {

@@ -5,16 +5,17 @@ import (
 	"math"
 
 	"topk/internal/treap"
+	"topk/internal/xsort"
 )
 
 // CheckInvariants verifies the tree's structural invariants — skeleton
 // centers in search order, every treap-held interval containing its
 // node's center, byLo and byHi holding the same items, each treap's own
-// invariants, and the location map naming exactly where every item sits
-// — returning the first violation found. Intended for tests and fuzzing;
-// O(n).
+// invariants, every item stored where route sends its span (so Delete
+// finds it again), distinct weights, and the item counter — returning
+// the first violation found. Intended for tests and fuzzing; O(n log n).
 func (t *Tree[V]) CheckInvariants() error {
-	stored := 0
+	var ws []float64
 	var walk func(nd *tnode[V], lo, hi float64) error
 	walk = func(nd *tnode[V], lo, hi float64) error {
 		if nd == nil {
@@ -32,21 +33,28 @@ func (t *Tree[V]) CheckInvariants() error {
 		if nd.byLo.Len() != nd.byHi.Len() {
 			return fmt.Errorf("interval: node %v holds %d items by Lo but %d by Hi", nd.center, nd.byLo.Len(), nd.byHi.Len())
 		}
+		inLo := func(k treap.Key) bool { _, ok := nd.byLo.Get(k); return ok }
 		var err error
 		check := func(k treap.Key, v V, byHi bool) bool {
 			sp := v.Span()
-			ref, ok := t.loc[k.W]
 			switch {
 			case !sp.Contains(nd.center):
 				err = fmt.Errorf("interval: %+v stored at center %v it does not contain", sp, nd.center)
 			case byHi && k.K != sp.Hi || !byHi && k.K != sp.Lo:
 				err = fmt.Errorf("interval: %+v keyed at %v", sp, k.K)
-			case !ok || ref.nd != nd || ref.inRest || ref.span != sp:
-				err = fmt.Errorf("interval: location of weight %v is %+v, want node %v", k.W, ref, nd.center)
+			case byHi && !inLo(treap.Key{K: sp.Lo, W: k.W}):
+				err = fmt.Errorf("interval: weight %v at node %v is held by Hi but not by Lo", k.W, nd.center)
+			default:
+				if at, inRest := t.route(sp); at != nd || inRest {
+					err = fmt.Errorf("interval: weight %v %+v stored at node %v, routed elsewhere", k.W, sp, nd.center)
+				}
 			}
 			return err == nil
 		}
-		nd.byLo.Ascend(func(k treap.Key, v V) bool { return check(k, v, false) })
+		nd.byLo.Ascend(func(k treap.Key, v V) bool {
+			ws = append(ws, k.W)
+			return check(k, v, false)
+		})
 		if err == nil {
 			nd.byHi.Ascend(func(k treap.Key, v V) bool { return check(k, v, true) })
 		}
@@ -54,11 +62,11 @@ func (t *Tree[V]) CheckInvariants() error {
 			return err
 		}
 		for _, it := range nd.rest {
-			if ref, ok := t.loc[it.Weight]; !ok || ref.nd != nd || !ref.inRest {
-				return fmt.Errorf("interval: location of rest weight %v is %+v, want node %v", it.Weight, ref, nd.center)
+			if at, inRest := t.route(it.Value.Span()); at != nd || !inRest {
+				return fmt.Errorf("interval: rest weight %v at node %v, routed elsewhere", it.Weight, nd.center)
 			}
+			ws = append(ws, it.Weight)
 		}
-		stored += nd.byLo.Len() + len(nd.rest)
 		if err := walk(nd.left, lo, nd.center); err != nil {
 			return err
 		}
@@ -67,8 +75,11 @@ func (t *Tree[V]) CheckInvariants() error {
 	if err := walk(t.root, math.Inf(-1), math.Inf(1)); err != nil {
 		return err
 	}
-	if stored != len(t.loc) {
-		return fmt.Errorf("interval: %d items stored, %d located", stored, len(t.loc))
+	if len(ws) != t.n {
+		return fmt.Errorf("interval: %d items stored, counter says %d", len(ws), t.n)
+	}
+	if rep := xsort.Repeats(ws); len(rep) > 0 {
+		return fmt.Errorf("interval: weight %v stored twice", ws[rep[0]])
 	}
 	return nil
 }

@@ -50,8 +50,7 @@ const Lambda = 2
 // points, and supports updates. It implements
 // core.DynamicPrioritized[Span, float64] and core.DynamicMax[Span, float64].
 type Points struct {
-	tr      treap.Tree[struct{}]
-	pos     map[float64]float64 // weight -> position (delete bookkeeping)
+	tr      treap.Tree[struct{}] // keyed by (position, weight)
 	tracker *em.Tracker
 	run     em.BlockID
 	blocks  int64
@@ -63,14 +62,13 @@ func NewPoints(items []core.Item[float64], tracker *em.Tracker) (*Points, error)
 	if err := core.ValidateWeights(items); err != nil {
 		return nil, err
 	}
-	p := &Points{pos: make(map[float64]float64, len(items)), tracker: tracker}
+	p := &Points{tracker: tracker}
 	keys := make([]treap.Key, len(items))
 	for i, it := range items {
 		if math.IsNaN(it.Value) {
 			return nil, fmt.Errorf("rangerep: NaN position")
 		}
 		keys[i] = treap.Key{K: it.Value, W: it.Weight}
-		p.pos[it.Weight] = it.Value
 	}
 	slices.SortFunc(keys, treap.Key.Compare)
 	p.tr = treap.Build(keys, make([]struct{}, len(keys)))
@@ -120,22 +118,16 @@ func (p *Points) Count(c em.Charger, q Span) int {
 
 // Insert implements core.Updatable.
 func (p *Points) Insert(it core.Item[float64]) {
-	if _, dup := p.pos[it.Weight]; dup {
-		panic(fmt.Sprintf("rangerep: duplicate weight %v", it.Weight))
-	}
 	p.tr.Insert(treap.Key{K: it.Value, W: it.Weight}, struct{}{})
-	p.pos[it.Weight] = it.Value
 	p.chargeUpdate()
 }
 
-// DeleteWeight implements core.Updatable.
-func (p *Points) DeleteWeight(w float64) bool {
-	x, ok := p.pos[w]
-	if !ok {
+// Delete implements core.Updatable: the point is the treap key
+// (position, weight).
+func (p *Points) Delete(it core.Item[float64]) bool {
+	if !p.tr.Delete(treap.Key{K: it.Value, W: it.Weight}) {
 		return false
 	}
-	p.tr.Delete(treap.Key{K: x, W: w})
-	delete(p.pos, w)
 	p.chargeUpdate()
 	return true
 }

@@ -1,7 +1,9 @@
 package rangerep
 
 import (
+	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -101,18 +103,23 @@ func TestPointsUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	live := append([]core.Item[float64](nil), items...)
+	stored := make(map[float64]bool, len(items))
+	for _, it := range items {
+		stored[it.Weight] = true
+	}
 	for round := 0; round < 5; round++ {
 		for i := 0; i < 60; i++ {
 			it := core.Item[float64]{Value: g.Float64() * 100, Weight: 2e6 + g.Float64()*1e6}
-			if _, dup := p.pos[it.Weight]; dup {
+			if stored[it.Weight] {
 				continue
 			}
+			stored[it.Weight] = true
 			p.Insert(it)
 			live = append(live, it)
 		}
 		for i := 0; i < 50; i++ {
 			v := g.IntN(len(live))
-			if !p.DeleteWeight(live[v].Weight) {
+			if !p.Delete(live[v]) {
 				t.Fatal("delete of live weight failed")
 			}
 			live[v] = live[len(live)-1]
@@ -125,8 +132,46 @@ func TestPointsUpdates(t *testing.T) {
 			t.Fatalf("round %d: reported %d, want %d", round, count, want)
 		}
 	}
-	if p.DeleteWeight(-5) {
+	if p.Delete(core.Item[float64]{Value: 50, Weight: -5}) {
 		t.Fatal("deleted absent weight")
+	}
+}
+
+// TestPointsDeleteByItem: Delete removes the key (position, weight) and
+// nothing else — not a point sharing the position, not a stored weight
+// at another position — and a miss charges no I/O.
+func TestPointsDeleteByItem(t *testing.T) {
+	tr := em.NewTracker(em.Config{B: 8, MemBlocks: 4})
+	pt := func(x, w float64) core.Item[float64] { return core.Item[float64]{Value: x, Weight: w} }
+	p, err := NewPoints([]core.Item[float64]{pt(1, 10), pt(1, 11), pt(2, 12)}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.DropCache()
+	tr.ResetCounters()
+	before := tr.Stats()
+	for _, miss := range []core.Item[float64]{pt(1, 99), pt(2, 10), pt(3, 12)} {
+		if p.Delete(miss) {
+			t.Fatalf("Delete(%+v) = true, want false", miss)
+		}
+	}
+	if after := tr.Stats(); after != before || p.Len() != 3 {
+		t.Fatalf("failed deletes: stats %+v -> %+v, Len %d", before, after, p.Len())
+	}
+	if !p.Delete(pt(1, 10)) {
+		t.Fatal("stored point (1, 10) not deleted")
+	}
+	if tr.Stats() == before {
+		t.Fatal("a successful delete charged nothing")
+	}
+	var got []float64
+	p.ReportAbove(noIO, Span{0, 5}, math.Inf(-1), func(it core.Item[float64]) bool {
+		got = append(got, it.Weight)
+		return true
+	})
+	sort.Float64s(got)
+	if fmt.Sprint(got) != "[11 12]" || p.Len() != 2 {
+		t.Fatalf("after deleting (1, 10): weights %v, Len %d; want [11 12]", got, p.Len())
 	}
 }
 

@@ -9,6 +9,8 @@ package wrand
 import (
 	"math"
 	"math/rand/v2"
+
+	"topk/internal/xsort"
 )
 
 // RNG is a seeded pseudo-random source (PCG under the hood).
@@ -100,19 +102,34 @@ func (g *RNG) SampleIndices(n int, p float64) []int {
 // UniqueFloats returns n distinct float64 values drawn uniformly from
 // (0, scale). Distinctness matches the paper's standing assumption that all
 // weights are distinct (Section 1.1).
+//
+// The values are those of a draw-and-reject loop (skip zeros, skip a value
+// already drawn) with no seen-set: it draws the missing values in one
+// pass, then drops the repeats in draw order and draws again, which
+// consumes the same random stream. Repeats are rare at any practical
+// scale, so the common case is one pass and one sorted check.
 func (g *RNG) UniqueFloats(n int, scale float64) []float64 {
-	seen := make(map[float64]struct{}, n)
 	out := make([]float64, 0, n)
 	for len(out) < n {
-		v := g.r.Float64() * scale
-		if v == 0 {
-			continue
+		for len(out) < n {
+			if v := g.r.Float64() * scale; v != 0 {
+				out = append(out, v)
+			}
 		}
-		if _, dup := seen[v]; dup {
-			continue
+		rep := xsort.Repeats(out)
+		if len(rep) == 0 {
+			break
 		}
-		seen[v] = struct{}{}
-		out = append(out, v)
+		kept, r := 0, 0
+		for i, v := range out {
+			if r < len(rep) && rep[r] == i {
+				r++
+				continue
+			}
+			out[kept] = v
+			kept++
+		}
+		out = out[:kept]
 	}
 	return out
 }

@@ -139,6 +139,68 @@ func TestUniqueFloats(t *testing.T) {
 	}
 }
 
+// uniqueFloatsMap is the seen-set form UniqueFloats must reproduce
+// byte for byte: the same values, in the same order, leaving the RNG in
+// the same state.
+func (g *RNG) uniqueFloatsMap(n int, scale float64) []float64 {
+	seen := make(map[float64]struct{}, n)
+	out := make([]float64, 0, n)
+	for len(out) < n {
+		v := g.r.Float64() * scale
+		if v == 0 {
+			continue
+		}
+		if _, dup := seen[v]; dup {
+			continue
+		}
+		seen[v] = struct{}{}
+		out = append(out, v)
+	}
+	return out
+}
+
+func TestUniqueFloatsMatchesSeenSet(t *testing.T) {
+	cases := []struct {
+		n     int
+		scale float64
+		rare  bool // zeros and repeats are certain: more than n draws
+	}{
+		{0, 1, false}, {1, 1, false}, {5000, 100, false}, {1 << 15, 1e9, false},
+		// 1e-321 leaves ~200 denormals: zeros and repeats are frequent.
+		{150, 1e-321, true},
+		// 4e-323 rounds every draw to one of nine multiples of the
+		// smallest denormal, zero among them.
+		{7, 4e-323, true},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			got, want := New(seed), New(seed)
+			a, b := got.UniqueFloats(c.n, c.scale), want.uniqueFloatsMap(c.n, c.scale)
+			if len(a) != len(b) {
+				t.Fatalf("n=%d scale=%g seed=%d: %d values, want %d", c.n, c.scale, seed, len(a), len(b))
+			}
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("n=%d scale=%g seed=%d: value %d is %g, want %g", c.n, c.scale, seed, i, a[i], b[i])
+				}
+			}
+			next := got.Uint64()
+			if next != want.Uint64() {
+				t.Fatalf("n=%d scale=%g seed=%d: RNG state diverged after the draw", c.n, c.scale, seed)
+			}
+			if c.rare {
+				plain := New(seed)
+				for i := 0; i < c.n; i++ {
+					plain.Float64()
+				}
+				if plain.Uint64() == next {
+					t.Fatalf("n=%d scale=%g seed=%d: no zero or repeat was drawn", c.n, c.scale, seed)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	g := New(13)
 	a := g.Split()

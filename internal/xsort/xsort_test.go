@@ -1,6 +1,7 @@
 package xsort
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -222,5 +223,50 @@ func BenchmarkSelectTopK(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(buf, vals)
 		SelectTopK(buf, 100, lessDesc)
+	}
+}
+
+// repeatsSeenSet is the in-order seen-set scan Repeats must agree with.
+func repeatsSeenSet(vs []float64) []int {
+	var out []int
+	seen := map[float64]bool{}
+	for i, v := range vs {
+		if seen[v] {
+			out = append(out, i)
+		}
+		seen[v] = true
+	}
+	return out
+}
+
+func TestRepeatsMatchesSeenSet(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	cases := [][]float64{
+		nil,
+		{1},
+		{1, 2, 3},
+		{3, 1, 3, 2, 1, 3},
+		{nan, nan, 1, nan},
+		{negZero, 0, 0, negZero},
+		{inf, -inf, inf, 5, -inf},
+	}
+	g := rand.New(rand.NewPCG(1, 2))
+	for n := 0; n < 200; n++ {
+		vs := make([]float64, n)
+		for i := range vs {
+			vs[i] = float64(g.IntN(n/2 + 1)) // many repeats
+		}
+		cases = append(cases, vs)
+	}
+	for _, vs := range cases {
+		got, want := Repeats(vs), repeatsSeenSet(vs)
+		if len(got) != len(want) {
+			t.Fatalf("Repeats(%v) = %v, want %v", vs, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("Repeats(%v) = %v, want %v", vs, got, want)
+			}
+		}
 	}
 }

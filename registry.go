@@ -246,7 +246,7 @@ type servedEngine[Q, It any] interface {
 
 func (e *engine[Q, V, It]) hasWeight(w float64) bool { _, ok := e.data[w]; return ok }
 
-func (s *sharded[Q, V, It]) hasWeight(w float64) bool { _, ok := s.owner[w]; return ok }
+func (s *sharded[Q, V, It]) hasWeight(w float64) bool { return s.owner(w) >= 0 }
 
 // served adapts one engine — or one sharded group of engines — to the
 // type-erased Served interface. The problem-specific residue is the

@@ -7,6 +7,7 @@ import (
 
 	"topk/internal/obs"
 	"topk/internal/shard"
+	"topk/internal/xsort"
 )
 
 // This file is the sharding layer: a sharded index partitions one
@@ -35,8 +36,8 @@ const (
 	ShardByWeight ShardPolicy = iota
 	// ShardRoundRobin deals items to shards in rotation, which keeps
 	// shard sizes within one item of each other even for adversarial
-	// weight distributions. Deletes are routed through the index's
-	// weight→shard table.
+	// weight distributions. Deletes go to the shard whose engine holds
+	// the weight.
 	ShardRoundRobin
 )
 
@@ -61,12 +62,13 @@ func (p ShardPolicy) String() string {
 // exclusive access. The type parameters mirror the engine's: Q is the
 // query, V the core value, It the exported item.
 type sharded[Q, V, It any] struct {
-	p      problem[Q, V, It]
-	opts   Options
+	p    problem[Q, V, It]
+	opts Options
+	// shards hold disjoint weights. Each engine's weight→item map is the
+	// one weight index of the layer: the owner of a weight is the shard
+	// whose engine has it (owner), so the sharded layer keeps no routing
+	// table of its own.
 	shards []*engine[Q, V, It]
-	// owner maps each live weight to its shard, the routing table for
-	// Delete (and the global duplicate-weight gate) under any policy.
-	owner map[float64]int
 	// rr is the round-robin insert cursor (ShardRoundRobin only).
 	rr  int
 	reg *obs.Registry // shared metrics registry, nil unless WithMetrics
@@ -81,20 +83,24 @@ func newSharded[Q, V, It any](p problem[Q, V, It], items []It, shards int, opts 
 		return nil, fmt.Errorf("topk: need at least 1 shard, got %d", shards)
 	}
 	o := applyOptions(opts)
-	s := &sharded[Q, V, It]{p: p, opts: o, owner: make(map[float64]int, len(items))}
+	s := &sharded[Q, V, It]{p: p, opts: o}
 
 	ws := make([]float64, len(items))
 	for i, it := range items {
 		ws[i] = p.weight(it)
 	}
 	parts := shard.Assign(ws, shards, o.policy == ShardByWeight)
-	for sh, idxs := range parts {
+	// A weight in two shards would pass every engine's own check, so the
+	// gate runs over all items first, in shard order: the error names the
+	// first weight that order repeats.
+	inOrder := make([]float64, 0, len(items))
+	for _, idxs := range parts {
 		for _, i := range idxs {
-			if prev, dup := s.owner[ws[i]]; dup && prev >= 0 {
-				return nil, fmt.Errorf("topk: duplicate weight %v", ws[i])
-			}
-			s.owner[ws[i]] = sh
+			inOrder = append(inOrder, ws[i])
 		}
+	}
+	if rep := xsort.Repeats(inOrder); len(rep) > 0 {
+		return nil, fmt.Errorf("topk: duplicate weight %v", inOrder[rep[0]])
 	}
 	s.rr = len(items) % shards
 
@@ -266,10 +272,20 @@ func mergeShardResults[It any](rs []BatchResult[It], k int, weight func(It) floa
 	return r
 }
 
+// owner returns the shard whose engine holds weight w, or -1.
+func (s *sharded[Q, V, It]) owner(w float64) int {
+	for sh, e := range s.shards {
+		if e.hasWeight(w) {
+			return sh
+		}
+	}
+	return -1
+}
+
 // admitInsert is the sharded validation gate shared by Insert and
 // InsertBatch: the same geometry and weight-finiteness checks as a
 // single engine, plus global (cross-shard) weight uniqueness against
-// the owner map. Both paths report identical error strings — the
+// every shard. Both paths report identical error strings — the
 // conformance suite pins this — so a caller cannot tell from an error
 // which ingest path rejected the item.
 func (s *sharded[Q, V, It]) admitInsert(it It) (float64, error) {
@@ -277,7 +293,7 @@ func (s *sharded[Q, V, It]) admitInsert(it It) (float64, error) {
 		return 0, err
 	}
 	w := s.p.weight(it)
-	if _, dup := s.owner[w]; dup {
+	if s.owner(w) >= 0 {
 		return 0, fmt.Errorf("topk: duplicate weight %v", w)
 	}
 	return w, nil
@@ -310,7 +326,6 @@ func (s *sharded[Q, V, It]) Insert(it It) error {
 	if s.opts.policy == ShardRoundRobin {
 		s.rr = (s.rr + 1) % len(s.shards)
 	}
-	s.owner[w] = sh
 	return nil
 }
 
@@ -326,7 +341,6 @@ func (s *sharded[Q, V, It]) InsertBatch(items []It) error {
 	}
 	seen := make(map[float64]struct{}, len(items))
 	sub := make([][]It, len(s.shards))
-	subW := make([][]float64, len(s.shards))
 	rr := s.rr
 	for _, it := range items {
 		w, err := s.admitInsert(it)
@@ -342,7 +356,6 @@ func (s *sharded[Q, V, It]) InsertBatch(items []It) error {
 			rr = (rr + 1) % len(s.shards)
 		}
 		sub[sh] = append(sub[sh], it)
-		subW[sh] = append(subW[sh], w)
 	}
 	for sh, batch := range sub {
 		if len(batch) == 0 {
@@ -350,9 +363,6 @@ func (s *sharded[Q, V, It]) InsertBatch(items []It) error {
 		}
 		if err := s.shards[sh].InsertBatch(batch); err != nil {
 			return fmt.Errorf("shard %d: %w", sh, err)
-		}
-		for _, w := range subW[sh] {
-			s.owner[w] = sh
 		}
 	}
 	s.rr = rr
@@ -365,35 +375,27 @@ func (s *sharded[Q, V, It]) Delete(weight float64) (bool, error) {
 	if s.shards[0].dyn == nil {
 		return false, errStatic(s.opts.reduction)
 	}
-	sh, ok := s.owner[weight]
-	if !ok {
+	sh := s.owner(weight)
+	if sh < 0 {
 		return false, nil
 	}
-	deleted, err := s.shards[sh].Delete(weight)
-	if err != nil || !deleted {
-		return deleted, err
-	}
-	delete(s.owner, weight)
-	return true, nil
+	return s.shards[sh].Delete(weight)
 }
 
 // DeleteBatch removes the items with the given weights from their
-// owning shards, returning how many were present anywhere. The owner
-// map routes each weight, so every shard sees one DeleteBatch over
-// exactly the weights it holds and runs its structural maintenance
-// once for the whole batch.
+// owning shards, returning how many were present anywhere. Each weight
+// is routed to the shard that holds it, so every shard sees one
+// DeleteBatch over exactly the weights it holds and runs its structural
+// maintenance once for the whole batch.
 func (s *sharded[Q, V, It]) DeleteBatch(weights []float64) (int, error) {
 	if s.shards[0].dyn == nil {
 		return 0, errStatic(s.opts.reduction)
 	}
 	sub := make([][]float64, len(s.shards))
 	for _, w := range weights {
-		sh, ok := s.owner[w]
-		if !ok {
-			continue
+		if sh := s.owner(w); sh >= 0 {
+			sub[sh] = append(sub[sh], w)
 		}
-		sub[sh] = append(sub[sh], w)
-		delete(s.owner, w)
 	}
 	found := 0
 	for sh, ws := range sub {

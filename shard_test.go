@@ -9,6 +9,7 @@ import (
 
 	"topk/internal/interval"
 	"topk/internal/shard"
+	"topk/internal/snap"
 	"topk/internal/wrand"
 )
 
@@ -39,6 +40,12 @@ func TestShardedConstructorErrors(t *testing.T) {
 	dup := append(append([]IntervalItem[int]{}, items...), items[3])
 	if _, err := newShardedInterval(dup, 4); err == nil {
 		t.Fatal("accepted a cross-shard duplicate weight")
+	}
+	// Round-robin deals the two copies to different shards, where only
+	// the sharded build gate can see them.
+	want := fmt.Sprintf("topk: duplicate weight %v", items[3].Weight)
+	if _, err := newShardedInterval(dup, 4, WithShardPolicy(ShardRoundRobin)); err == nil || err.Error() != want {
+		t.Fatalf("round-robin cross-shard duplicate: err = %v, want %q", err, want)
 	}
 	bad := append(append([]IntervalItem[int]{}, items...), IntervalItem[int]{Lo: 2, Hi: 1, Weight: 0.5})
 	if _, err := newShardedInterval(bad, 4); err == nil {
@@ -161,6 +168,152 @@ func TestShardedDynamicMatchesSingle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// restoreShardedInterval restores a partitioned interval snapshot
+// directory as the sharded type itself, so tests can drive its update
+// paths directly.
+func restoreShardedInterval(t *testing.T, dir string) *shardedInterval {
+	t.Helper()
+	mf, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := restoreSharded(func(snap.Header) (problem[float64, interval.Interval, IntervalItem[int]], error) {
+		return intervalProblem[int](), nil
+	}, dir, mf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestShardedRestoreRejectsWeightInTwoShards: a partitioned snapshot
+// whose shards both hold one live weight does not restore, and the
+// error names the weight and both shards.
+func TestShardedRestoreRejectsWeightInTwoShards(t *testing.T) {
+	items := shardIntervals(40, 11)
+	p := intervalProblem[int]()
+	e0, err := newEngine(p, items[:20], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shard 1 repeats items[7], which shard 0 holds.
+	e1, err := newEngine(p, append(append([]IntervalItem[int](nil), items[20:]...), items[7]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	bad := &shardedInterval{p: p, opts: e0.opts, shards: []*engine[float64, interval.Interval, IntervalItem[int]]{e0, e1}}
+	if err := bad.snapDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := ProblemByName("interval")
+	_, err = spec.Restore(dir)
+	want := fmt.Sprintf("topk: weight %v is live in shards 0 and 1", items[7].Weight)
+	if err == nil || err.Error() != want {
+		t.Fatalf("restore err = %v, want %q", err, want)
+	}
+}
+
+// TestShardedRoundRobinAfterRestore: under ShardRoundRobin no weight
+// maps to a shard, so after a restore the engines' own weight maps must
+// route every update — a duplicate Insert is rejected, new items follow
+// the restored cursor, and Delete/DeleteBatch remove exactly the named
+// items from the shards that hold them.
+func TestShardedRoundRobinAfterRestore(t *testing.T) {
+	const shards = 3
+	items := shardIntervals(50, 12)
+	src, err := newShardedInterval(items, shards, WithShardPolicy(ShardRoundRobin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := src.snapDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	s := restoreShardedInterval(t, dir)
+	if s.opts.policy != ShardRoundRobin || s.rr != src.rr {
+		t.Fatalf("restored policy %v cursor %d, want ShardRoundRobin cursor %d", s.opts.policy, s.rr, src.rr)
+	}
+	holder := func(w float64) int {
+		for sh, e := range src.shards {
+			if _, ok := e.data[w]; ok {
+				return sh
+			}
+		}
+		return -1
+	}
+	live := make(map[float64]bool, len(items))
+	for _, it := range items {
+		live[it.Weight] = true
+	}
+	check := func(stage string) {
+		t.Helper()
+		got := s.Items()
+		if len(got) != len(live) || s.Len() != len(live) {
+			t.Fatalf("%s: %d items (Len %d), want %d", stage, len(got), s.Len(), len(live))
+		}
+		for _, it := range got {
+			if !live[it.Weight] {
+				t.Fatalf("%s: weight %v is live, want it gone", stage, it.Weight)
+			}
+		}
+	}
+
+	lens := s.ShardLens()
+	dup := items[4]
+	dup.Lo, dup.Hi = 1, 2
+	err = s.Insert(dup)
+	if want := fmt.Sprintf("topk: duplicate weight %v", dup.Weight); err == nil || err.Error() != want {
+		t.Fatalf("duplicate Insert err = %v, want %q", err, want)
+	}
+	if err := s.InsertBatch([]IntervalItem[int]{{Lo: 0, Hi: 1, Weight: 5e6}, dup}); err == nil || !strings.Contains(err.Error(), "duplicate weight") {
+		t.Fatalf("InsertBatch with a duplicate: err = %v", err)
+	}
+	if !reflect.DeepEqual(s.ShardLens(), lens) || s.rr != src.rr {
+		t.Fatalf("rejected inserts moved the index: lens %v -> %v, cursor %d -> %d", lens, s.ShardLens(), src.rr, s.rr)
+	}
+	fresh := IntervalItem[int]{Lo: 10, Hi: 20, Weight: 7e6}
+	if err := s.Insert(fresh); err != nil {
+		t.Fatal(err)
+	}
+	live[fresh.Weight] = true
+	lens[src.rr]++
+	if !reflect.DeepEqual(s.ShardLens(), lens) {
+		t.Fatalf("fresh insert: lens %v, want %v (cursor %d)", s.ShardLens(), lens, src.rr)
+	}
+	check("after inserts")
+
+	victim := items[9]
+	if ok, err := s.Delete(victim.Weight); !ok || err != nil {
+		t.Fatalf("Delete(%v) = %v, %v", victim.Weight, ok, err)
+	}
+	delete(live, victim.Weight)
+	lens[holder(victim.Weight)]--
+	if ok, _ := s.Delete(victim.Weight); ok {
+		t.Fatal("deleted the same weight twice")
+	}
+	if !reflect.DeepEqual(s.ShardLens(), lens) {
+		t.Fatalf("Delete: lens %v, want %v", s.ShardLens(), lens)
+	}
+	check("after Delete")
+
+	batch := []float64{items[0].Weight, items[1].Weight, items[2].Weight, -1, items[0].Weight, fresh.Weight}
+	n, err := s.DeleteBatch(batch)
+	if err != nil || n != 4 {
+		t.Fatalf("DeleteBatch = %d, %v; want 4 deleted", n, err)
+	}
+	for _, w := range batch[:3] {
+		delete(live, w)
+		lens[holder(w)]--
+	}
+	delete(live, fresh.Weight)
+	lens[src.rr]--
+	if !reflect.DeepEqual(s.ShardLens(), lens) {
+		t.Fatalf("DeleteBatch: lens %v, want %v", s.ShardLens(), lens)
+	}
+	check("after DeleteBatch")
 }
 
 // TestShardedMetricsSharedRegistry checks the observability aggregation

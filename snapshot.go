@@ -678,9 +678,9 @@ func restoreEngineFile[Q, V, It any](
 }
 
 // restoreSharded reassembles a sharded index from a partitioned
-// snapshot directory: each shard file restores into its own engine, the
-// owner map is rebuilt from the restored weights, and the policy and
-// round-robin cursor come back from the manifest.
+// snapshot directory: each shard file restores into its own engine, no
+// live weight may sit in two shards, and the policy and round-robin
+// cursor come back from the manifest.
 func restoreSharded[Q, V, It any](
 	mk func(snap.Header) (problem[Q, V, It], error),
 	dir string,
@@ -695,7 +695,7 @@ func restoreSharded[Q, V, It any](
 		return nil, fmt.Errorf("topk: manifest round-robin cursor %d out of range [0, %d)", mf.RR, mf.Shards)
 	}
 	base := applyOptions(opts)
-	s := &sharded[Q, V, It]{owner: make(map[float64]int), rr: mf.RR}
+	s := &sharded[Q, V, It]{rr: mf.RR}
 	if base.metrics {
 		s.reg = obs.NewRegistry()
 	}
@@ -720,11 +720,14 @@ func restoreSharded[Q, V, It any](
 		if got := e.maintenanceID(); got != mf.Maintenance {
 			return nil, fmt.Errorf("topk: shard %d snapshot uses maintenance policy %q, manifest says %q", entry.Shard, e.opts.maintPol, mf.Maintenance)
 		}
+		// Each weight is looked up in the shards restored so far; their
+		// weight maps are the only index needed.
 		for w := range e.data {
-			if prev, dup := s.owner[w]; dup {
-				return nil, fmt.Errorf("topk: weight %v is live in shards %d and %d", w, prev, entry.Shard)
+			for prev, o := range s.shards {
+				if o != nil && o.hasWeight(w) {
+					return nil, fmt.Errorf("topk: weight %v is live in shards %d and %d", w, prev, entry.Shard)
+				}
 			}
-			s.owner[w] = entry.Shard
 		}
 		s.shards[entry.Shard] = e
 	}

@@ -1,10 +1,14 @@
 package topk
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
+	"topk/internal/core"
+	"topk/internal/interval"
 	"topk/internal/wrand"
 )
 
@@ -153,6 +157,33 @@ func TestIntervalIndexDynamic(t *testing.T) {
 	}
 	if ix.Len() != len(live) {
 		t.Fatalf("Len = %d, want %d", ix.Len(), len(live))
+	}
+}
+
+// TestIntervalIndexRejectsDuplicateInsert: the interval trees under the
+// native Theorem 2 path keep no weight index, so a duplicate weight must
+// be stopped by the engine, which owns one, before any tree sees it.
+func TestIntervalIndexRejectsDuplicateInsert(t *testing.T) {
+	items := genIntervalItems(wrand.New(5), 200)
+	ix, err := NewIntervalIndex(items, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := ix.eng.topk.(*core.Expected[float64, interval.Interval]).Prioritized().(*interval.Tree[interval.Interval])
+	before := ix.TopK(items[0].Lo, 10)
+	dup := IntervalItem[int]{Lo: items[0].Lo, Hi: items[0].Lo + 1, Weight: items[0].Weight}
+	err = ix.Insert(dup)
+	if want := fmt.Sprintf("topk: duplicate weight %v", dup.Weight); err == nil || err.Error() != want {
+		t.Fatalf("duplicate Insert err = %v, want %q", err, want)
+	}
+	if ix.Len() != len(items) || tree.Len() != len(items) {
+		t.Fatalf("rejected insert: index Len %d, tree Len %d, want %d", ix.Len(), tree.Len(), len(items))
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if after := ix.TopK(items[0].Lo, 10); !reflect.DeepEqual(after, before) {
+		t.Fatalf("rejected insert changed answers: %v -> %v", before, after)
 	}
 }
 
